@@ -135,7 +135,7 @@ def cmd_bands(args, config, opts) -> int:
     e_max = args.emax if args.emax is not None else config.get("e_max")
     if e_min is None or e_max is None:
         if isinstance(v, LamePotential):
-            e_min, e_max = -0.5, v.amplitude + 4.0
+            e_min, e_max = v.band_window
         else:
             raise ConfigError("bands needs an energy window (--emin/--emax)")
     rtol = opts.get("rtol", floquet.DEFAULT_RTOL)

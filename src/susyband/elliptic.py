@@ -66,7 +66,7 @@ def complete_k(m: float) -> float:
 
 
 def _sncndn_reduced(y, m, a_seq, c_seq):
-    """sn, cn, dn at reduced argument y in [0, K], scalar or ndarray."""
+    """sn, cn, dn at reduced arguments y in [0, K], an ndarray."""
     n = len(a_seq) - 1
     phi = math.ldexp(a_seq[n], n) * y
     for i in range(n, 0, -1):
@@ -78,6 +78,20 @@ def _sncndn_reduced(y, m, a_seq, c_seq):
     # positive square root of the defining identity is the right branch.
     dn = np.sqrt(1.0 - m * sn * sn)
     return sn, cn, dn
+
+
+def _sncndn_reduced_scalar(y: float, m: float, a_seq, c_seq):
+    """The same ladder as `_sncndn_reduced` for one float, on `math` alone:
+    numpy's per-call overhead on Python floats costs several times the
+    arithmetic, and potentials are evaluated one point at a time inside the
+    integrator."""
+    n = len(a_seq) - 1
+    phi = math.ldexp(a_seq[n], n) * y
+    for i in range(n, 0, -1):
+        s = c_seq[i] / a_seq[i] * math.sin(phi)
+        phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, s))))
+    sn = math.sin(phi)
+    return sn, math.cos(phi), math.sqrt(1.0 - m * sn * sn)
 
 
 def jacobi_sncndn(x, m: float):
@@ -120,8 +134,8 @@ def jacobi_sncndn(x, m: float):
         if y > quarter:
             y = 2.0 * quarter - y
             sign_cn = -sign_cn
-        sn, cn, dn = _sncndn_reduced(y, m, a_seq, c_seq)
-        return sign_sn * float(sn), sign_cn * float(cn), float(dn)
+        sn, cn, dn = _sncndn_reduced_scalar(y, m, a_seq, c_seq)
+        return sign_sn * sn, sign_cn * cn, dn
 
     y = np.asarray(x, dtype=float) % (4.0 * quarter)
     sign_sn = np.ones_like(y)

@@ -238,6 +238,7 @@ TAG_ALLOWED_BAND = "allowed_band"
 TAG_EDGE_PERIODIC = "band_edge_periodic"
 TAG_EDGE_ANTIPERIODIC = "band_edge_antiperiodic"
 TAG_GAP = "gap"
+_EDGE_KIND = {2.0: TAG_EDGE_PERIODIC, -2.0: TAG_EDGE_ANTIPERIODIC}
 
 
 @dataclass(frozen=True)
@@ -304,53 +305,61 @@ class BandStructure:
         return None
 
 
-def _bisect_roots(v, lo, hi, f_lo, targets, *, iters, rtol, atol, scan_rtol):
-    """Vectorized two-stage bisection for D(E) = target_i on bracketing intervals.
+#: cells per k-section sweep of a root bracket; each sweep gains log2 of it
+_SECTIONS = 64
+#: grid points per sweep of an extremum search, and the number of sweeps
+_EXTREMUM_POINTS = 65
+_EXTREMUM_SWEEPS = 3
 
-    Most iterations run at the cheap scan tolerance; the bracket is tight
-    enough by then that the final full-tolerance sweeps dominate accuracy.
+
+def _ksection_roots(v, lo, hi, s_lo, targets, *, sweeps, rtol, atol):
+    """Batched k-section for D(E) = target_i on the brackets [lo_i, hi_i].
+
+    Each sweep evaluates D on _SECTIONS - 1 interior points of every bracket
+    in one batch and keeps, per bracket, the first cell whose right end no
+    longer has the sign s_lo_i of D - target_i at the left end (the last
+    cell when none does).
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    targets = np.asarray(targets, dtype=float)
-    s_lo = np.sign(f_lo)
-    for _ in range(iters):
-        # cheap tolerance while the bracket is wide; once |D - target| across
-        # the bracket could drown in scan noise, pay for the full tolerance
-        tol = scan_rtol if float(np.max(hi - lo)) > 3e-5 else rtol
-        mid = 0.5 * (lo + hi)
-        d_mid = discriminants(v, mid, rtol=tol, atol=atol) - targets
-        left = np.sign(d_mid) == s_lo
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    s_lo = np.asarray(s_lo, dtype=float)[:, None]
+    targets = np.asarray(targets, dtype=float)[:, None]
+    frac = np.arange(1, _SECTIONS) / _SECTIONS
+    rows = np.arange(lo.size)
+    for _ in range(sweeps):
+        inner = lo[:, None] + (hi - lo)[:, None] * frac
+        g = discriminants(v, inner.ravel(), rtol=rtol, atol=atol).reshape(inner.shape) - targets
+        flipped = np.sign(g) != s_lo
+        cell = np.where(flipped.any(axis=1), flipped.argmax(axis=1), _SECTIONS - 1)
+        points = np.concatenate((lo[:, None], inner, hi[:, None]), axis=1)
+        lo, hi = points[rows, cell], points[rows, cell + 1]
     return 0.5 * (lo + hi)
 
 
-def _refine_extremum(v, e_left, e_mid, e_right, d_left, d_mid, d_right, maximize,
-                     *, iters=10, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Successive parabolic refinement of an interior extremum of D(E)."""
-    sign = 1.0 if maximize else -1.0
-    xs = [e_left, e_mid, e_right]
-    fs = [sign * d_left, sign * d_mid, sign * d_right]
-    for _ in range(iters):
-        order = np.argsort(xs)
-        x0, x1, x2 = (xs[i] for i in order)
-        f0, f1, f2 = (fs[i] for i in order)
-        denom = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
-        if denom == 0.0:
-            break
-        vertex = x1 - 0.5 * (
-            (x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)
-        ) / denom
-        if not x0 < vertex < x2 or abs(vertex - x1) < 1e-12:
-            break
-        f_v = sign * discriminant(v, vertex, rtol=rtol, atol=atol)
-        # keep the best three points bracketing the extremum
-        worst = int(np.argmin(fs))
-        xs[worst] = vertex
-        fs[worst] = f_v
-    best = int(np.argmax(fs))
-    return xs[best], sign * fs[best]
+def _grid_extrema(v, lo, hi, sign, *, rtol, atol):
+    """Batched grid search for the maximum of sign_i * D on each [lo_i, hi_i].
+
+    Every sweep lays _EXTREMUM_POINTS points across each interval, evaluates
+    them all in one batch, and narrows each interval to the two cells around
+    its best point.  Returns the best energies and their D values, and D at
+    the original interval ends (which the first sweep includes).
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    sign = np.asarray(sign, dtype=float)[:, None]
+    frac = np.linspace(0.0, 1.0, _EXTREMUM_POINTS)
+    rows = np.arange(lo.size)
+    ends = None
+    for _ in range(_EXTREMUM_SWEEPS):
+        grid = lo[:, None] + (hi - lo)[:, None] * frac
+        d = discriminants(v, grid.ravel(), rtol=rtol, atol=atol).reshape(grid.shape)
+        if ends is None:
+            ends = d[:, 0], d[:, -1]
+        best = np.argmax(sign * d, axis=1)
+        e_best, d_best = grid[rows, best], d[rows, best]
+        lo = grid[rows, np.maximum(best - 1, 0)]
+        hi = grid[rows, np.minimum(best + 1, _EXTREMUM_POINTS - 1)]
+    return e_best, d_best, ends
 
 
 def band_edges(
@@ -367,11 +376,21 @@ def band_edges(
 ) -> BandStructure:
     """Locate all band edges (roots of D = +-2) inside [e_min, e_max].
 
-    A coarse scan brackets sign changes of D -+ 2, vectorized bisection
-    refines each bracket below 1e-9, and interior extrema of D are
-    parabolically refined to catch touching bands (double roots) or sub-grid
-    root pairs.  Touching points are reported separately and do not count as
-    edges.
+    A coarse scan, ``scan_per_unit`` energies per unit at the loose
+    ``scan_rtol``, brackets the sign changes of D -+ 2 and flags the interior
+    extrema of D within 0.05 of +-2.  All refinement runs at the full
+    ``rtol``, and every refinement sweep is one batched ``discriminants``
+    call covering all brackets or all extrema at once:
+
+    * extrema are located by a grid search (three sweeps of 65 points, each
+      narrowing to the neighbours of the best point).  One within
+      ``edge_tol`` of +-2 is a touching point, a closed gap where D is
+      tangent to +-2; touching points are reported separately and do not
+      count as edges.  One beyond +-2 between two unbracketed scan cells
+      yields a pair of roots that slipped between scan points.
+    * each root bracket is narrowed by 64-fold k-section in
+      ceil(refine_iters / 6) sweeps, to at most 2**-refine_iters of a scan
+      cell.
     """
     if not e_max > e_min:
         raise ValueError("need e_min < e_max")
@@ -381,62 +400,51 @@ def band_edges(
 
     roots: list[tuple[float, str]] = []
     bracketed_cells: set[int] = set()
-    bisect_lo: list[float] = []
-    bisect_hi: list[float] = []
-    bisect_flo: list[float] = []
-    bisect_target: list[float] = []
-    bisect_kind: list[str] = []
-    for target, kind in ((2.0, TAG_EDGE_PERIODIC), (-2.0, TAG_EDGE_ANTIPERIODIC)):
+    # (lo, hi, sign of D - target at lo, target) of every root bracket
+    brackets: list[tuple[float, float, float, float]] = []
+    for target in (2.0, -2.0):
         g = ds - target
         cells = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
         bracketed_cells.update(int(i) for i in cells)
-        for i in cells:
-            bisect_lo.append(es[i])
-            bisect_hi.append(es[i + 1])
-            bisect_flo.append(g[i])
-            bisect_target.append(target)
-            bisect_kind.append(kind)
-        exact = np.nonzero(g == 0.0)[0]
-        roots.extend((float(es[i]), kind) for i in exact)
+        brackets.extend((es[i], es[i + 1], np.sign(g[i]), target) for i in cells)
+        roots.extend((float(es[i]), _EDGE_KIND[target]) for i in np.nonzero(g == 0.0)[0])
 
-    # Interior extrema: candidates for closed gaps (D tangent to +-2) or for
-    # a root pair that slipped between scan points.
+    # Interior extrema near +-2: candidates for closed gaps (D tangent to
+    # +-2) or for a root pair that slipped between scan points.
     touching: list[float] = []
     slopes = np.diff(ds)
-    for i in range(1, n_scan):
-        if slopes[i - 1] * slopes[i] > 0.0:
-            continue
-        maximize = slopes[i - 1] > 0.0 or (slopes[i - 1] == 0.0 and slopes[i] < 0.0)
-        target = 2.0 if maximize else -2.0
-        kind = TAG_EDGE_PERIODIC if maximize else TAG_EDGE_ANTIPERIODIC
-        # Only interesting when the extremum sits near the relevant target.
-        if abs(ds[i] - target) > 0.05:
-            continue
-        e_ext, d_ext = _refine_extremum(
-            v, es[i - 1], es[i], es[i + 1], ds[i - 1], ds[i], ds[i + 1],
-            maximize, rtol=rtol, atol=atol,
+    turning = np.nonzero(slopes[:-1] * slopes[1:] <= 0.0)[0] + 1
+    maximize = (slopes[turning - 1] > 0.0) | (
+        (slopes[turning - 1] == 0.0) & (slopes[turning] < 0.0)
+    )
+    ext_targets = np.where(maximize, 2.0, -2.0)
+    near = np.abs(ds[turning] - ext_targets) <= 0.05
+    turning, ext_targets = turning[near], ext_targets[near]
+    if turning.size:
+        e_ext, d_ext, (d_left, d_right) = _grid_extrema(
+            v, es[turning - 1], es[turning + 1], np.sign(ext_targets), rtol=rtol, atol=atol
         )
-        overshoot = (d_ext - target) if maximize else (target - d_ext)
-        if abs(d_ext - target) <= edge_tol:
-            touching.append(e_ext)
-        elif overshoot > 0.0 and not ({i - 1, i} & bracketed_cells):
-            # genuine pair of roots hiding inside two scan cells
-            for lo, hi in ((es[i - 1], e_ext), (e_ext, es[i + 1])):
-                g_lo = discriminant(v, lo, rtol=rtol, atol=atol) - target
-                g_hi = discriminant(v, hi, rtol=rtol, atol=atol) - target
-                if g_lo * g_hi < 0.0:
-                    bisect_lo.append(lo)
-                    bisect_hi.append(hi)
-                    bisect_flo.append(g_lo)
-                    bisect_target.append(target)
-                    bisect_kind.append(kind)
+        for i, target, e, d, d_lo, d_hi in zip(
+            turning.tolist(), ext_targets, e_ext, d_ext, d_left, d_right
+        ):
+            overshoot = (d - target) if target > 0.0 else (target - d)
+            if abs(d - target) <= edge_tol:
+                touching.append(float(e))
+            elif overshoot > 0.0 and not ({i - 1, i} & bracketed_cells):
+                for lo, hi, g_lo, g_hi in (
+                    (es[i - 1], e, d_lo - target, d - target),
+                    (e, es[i + 1], d - target, d_hi - target),
+                ):
+                    if g_lo * g_hi < 0.0:
+                        brackets.append((lo, hi, np.sign(g_lo), target))
 
-    if bisect_lo:
-        refined = _bisect_roots(
-            v, bisect_lo, bisect_hi, bisect_flo, bisect_target,
-            iters=refine_iters, rtol=rtol, atol=atol, scan_rtol=scan_rtol,
+    if brackets:
+        lo, hi, s_lo, targets = np.array(brackets).T
+        refined = _ksection_roots(
+            v, lo, hi, s_lo, targets,
+            sweeps=math.ceil(refine_iters / math.log2(_SECTIONS)), rtol=rtol, atol=atol,
         )
-        roots.extend((float(r), k) for r, k in zip(refined, bisect_kind))
+        roots.extend((float(r), _EDGE_KIND[t]) for r, t in zip(refined, targets))
 
     roots.sort(key=lambda rk: rk[0])
     # collapse duplicates from adjacent brackets

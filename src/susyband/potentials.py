@@ -79,6 +79,17 @@ class LamePotential(Potential):
     def amplitude(self) -> float:
         return self.n * (self.n + 1) * self.m
 
+    @property
+    def band_window(self) -> tuple[float, float]:
+        """Energy window (e_min, e_max) holding all 2n+1 band edges.
+
+        The edges lie in (0, n(n+1)): V >= 0 bounds them below, the closed
+        forms bound them above for n <= 3, and the computed edges for n = 4, 5
+        (m from 0.1 to 0.97) agree.  The amplitude n(n+1)m bounds nothing:
+        the top edge lies above it.
+        """
+        return -0.5, self.n * (self.n + 1) + 1.0
+
     def __call__(self, x):
         sn, _, _ = jacobi_sncndn(x, self.m)
         return self.amplitude * sn * sn

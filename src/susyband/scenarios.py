@@ -95,13 +95,12 @@ def band_structure_for(
     rtol: float = floquet.DEFAULT_RTOL,
     atol: float = floquet.DEFAULT_ATOL,
 ) -> floquet.BandStructure:
-    """Band structure of a Lame potential over a window sure to hold all
-    2n+1 edges; the amplitude n(n+1)m plus a margin covers the last gap."""
-    e_max = v.amplitude + 4.0
-    key = (v.n, v.m, scan_per_unit, rtol, atol, e_max)
+    """Band structure of a Lame potential over its `band_window`, which holds
+    all 2n+1 edges."""
+    key = (v.n, v.m, scan_per_unit, rtol, atol)
     if key not in _BAND_CACHE:
         _BAND_CACHE[key] = floquet.band_edges(
-            v, -0.5, e_max, scan_per_unit=scan_per_unit, rtol=rtol, atol=atol
+            v, *v.band_window, scan_per_unit=scan_per_unit, rtol=rtol, atol=atol
         )
     return _BAND_CACHE[key]
 

@@ -27,6 +27,19 @@ def test_bands_writes_edges(tmp_path):
     assert len(lines) == 41
 
 
+def test_bands_default_window_holds_all_edges(tmp_path):
+    # at m < 0.49 the n = 3 top edges lie above the amplitude n(n+1)m + 4
+    out = tmp_path / "bands"
+    code = run([
+        "bands", "--lame-n", "3", "--lame-m", "0.25", "--out", str(out),
+        "--sweep-points", "16",
+    ])
+    assert code == 0
+    doc = json.loads((out / "edges.json").read_text())
+    assert len(doc["edges"]) == 7
+    assert doc["window"] == [-0.5, 13.0]
+
+
 def test_bands_config_potential(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

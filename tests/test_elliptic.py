@@ -63,6 +63,20 @@ def test_identities_random_10000():
     assert worst_dn < 1e-12
 
 
+def test_scalar_path_matches_array_path():
+    # floats take a pure-math ladder, arrays the numpy one; same arithmetic
+    rng = np.random.default_rng(20261018)
+    xs = rng.uniform(-50.0, 50.0, 2000)
+    ms = rng.uniform(0.01, 0.999, 2000)
+    worst = 0.0
+    for x, m in zip(xs, ms):
+        scalar = jacobi_sncndn(float(x), float(m))
+        array = jacobi_sncndn(np.array([x]), float(m))
+        assert all(type(f) is float for f in scalar)
+        worst = max(worst, max(abs(f - a[0]) for f, a in zip(scalar, array)))
+    assert worst < 4e-15
+
+
 def test_degenerate_limits():
     for x in (-2.3, 0.0, 0.7, 11.0):
         sn, cn, dn = jacobi_sncndn(x, 0.0)

@@ -204,6 +204,65 @@ def test_band_edges_counts(lame_bands):
     assert len(lame_bands(3).edges) == 7
 
 
+def lame_edges_closed_form(n, m):
+    """The 2n+1 Lame band edges as eigenvalues of the Lame-polynomial
+    problems (Arscott, Periodic Differential Equations, 1964)."""
+    if n == 1:
+        edges = [m, 1.0, 1.0 + m]
+    elif n == 2:
+        r = 2.0 * math.sqrt(1.0 - m + m * m)
+        edges = [2.0 * (1.0 + m) - r, 1.0 + m, 1.0 + 4.0 * m, 4.0 + m, 2.0 * (1.0 + m) + r]
+    else:
+        a = 2.0 * math.sqrt(1.0 - m + 4.0 * m * m)
+        b = 2.0 * math.sqrt(4.0 - m + m * m)
+        c = 2.0 * math.sqrt(4.0 - 7.0 * m + 4.0 * m * m)
+        edges = [2.0 + 5.0 * m - a, 2.0 + 5.0 * m + a, 5.0 + 2.0 * m - b,
+                 5.0 + 2.0 * m + b, 5.0 + 5.0 * m - c, 5.0 + 5.0 * m + c, 4.0 + 4.0 * m]
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("m", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lame_edges_closed_form(lame_bands, n, m):
+    bs = lame_bands(n, m)
+    exact = lame_edges_closed_form(n, m)
+    assert len(bs.edges) == len(exact)
+    tol = 1e-8 if m == 0.5 else 1e-6
+    for found, want in zip(bs.edges, exact):
+        assert found == pytest.approx(want, abs=tol)
+
+
+def test_band_edges_root_pair_inside_scan_cells():
+    # the 7.9e-3 wide top gap of lame(2, 0.1) fits inside one 0.02 scan
+    # cell: no sign change on the scan, only an extremum of D beyond +2
+    bs = band_edges(lame(2, 0.1), -0.5, 7.0, scan_per_unit=50.0)
+    assert len(bs.edges) == 5
+    for found, want in zip(bs.edges, lame_edges_closed_form(2, 0.1)):
+        assert found == pytest.approx(want, abs=1e-6)
+
+
+def test_band_edges_work_count(monkeypatch):
+    # every D evaluation goes through the batched path: one scan, at most
+    # three extremum sweeps and seven k-section sweeps
+    from susyband import floquet
+
+    counts = {"batches": 0, "single": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(floquet, "transfer_matrices", counting("batches", floquet.transfer_matrices))
+    monkeypatch.setattr(floquet, "propagate", counting("single", floquet.propagate))
+    bs = band_edges(lame(3, 0.5), -0.5, 13.0)
+    assert len(bs.edges) == 7
+    assert counts["batches"] <= 12
+    assert counts["single"] == 0
+
+
 def test_band_edge_interlacing(lame_bands):
     for n in (2, 3):
         bs = lame_bands(n)
