@@ -253,21 +253,22 @@ def bound_states_in_gaps(
     return out
 
 
-def _decaying_initial(tm: floquet.TransferMatrix, toward: str):
-    """Initial data of the local Bloch solution that decays toward +/-inf."""
-    d = tm.trace
-    if abs(d) <= 2.0:
+def _decaying_initial(ms: np.ndarray, energies: np.ndarray, toward: str) -> np.ndarray:
+    """Initial data, one row per energy, of the local Bloch solution that
+    decays toward +/-inf, from the one-period matrices ms of shape (n, 2, 2)."""
+    d = ms[:, 0, 0] + ms[:, 1, 1]
+    inside = np.abs(d) <= 2.0
+    if inside.any():
         raise ValueError(
-            f"shooting energy {tm.energy:.6g} is not in a spectral gap of the far field"
+            f"shooting energy {energies[inside.argmax()]:.6g} is not in a spectral "
+            "gap of the far field"
         )
-    root = math.sqrt(0.25 * d * d - 1.0)
-    grow = 0.5 * d + math.copysign(root, d)
+    grow = 0.5 * d + np.copysign(np.sqrt(0.25 * d * d - 1.0), d)
     beta = 1.0 / grow if toward == "plus" else grow
-    b = tm.matrix
-    r1 = np.array([b[0, 1], beta - b[0, 0]])
-    r2 = np.array([beta - b[1, 1], b[1, 0]])
-    vec = r1 if np.abs(r1).sum() >= np.abs(r2).sum() else r2
-    return vec / np.max(np.abs(vec))
+    r1 = np.stack((ms[:, 0, 1], beta - ms[:, 0, 0]), axis=1)
+    r2 = np.stack((beta - ms[:, 1, 1], ms[:, 1, 0]), axis=1)
+    vec = np.where((np.abs(r1).sum(axis=1) >= np.abs(r2).sum(axis=1))[:, None], r1, r2)
+    return vec / np.max(np.abs(vec), axis=1, keepdims=True)
 
 
 def shooting_eigenvalue(
@@ -287,47 +288,37 @@ def shooting_eigenvalue(
     Shoots from both window ends with decaying Bloch boundary data taken
     from the outermost period of the window itself (the far field is
     periodic there, and each end may converge to a differently displaced
-    copy), then bisects on the normalized Wronskian mismatch at the matching
-    point.  Returns None when no sign change brackets an eigenvalue.
+    copy), and brackets a sign change of the normalized Wronskian mismatch
+    at the matching point.  Every step evaluates the mismatch for a whole
+    batch of energies at once: a first sweep over floquet.SECTIONS + 1
+    points across [e_lo, e_hi] picks the first sign change, and k-section
+    sweeps narrow it to 1e-10, or by at most ``iters`` halvings.  Returns
+    None when no sign change brackets an eigenvalue.
     """
     period = float(w.period)
 
-    def mismatch(energy: float) -> float:
-        tm_l = floquet.transfer_matrix(w, energy, x_lo, x_lo + period, rtol=rtol, atol=atol)
-        tm_r = floquet.transfer_matrix(w, energy, x_hi - period, x_hi, rtol=rtol, atol=atol)
-        y_l = _decaying_initial(tm_l, "minus")
-        y_r = _decaying_initial(tm_r, "plus")
-        left, _ = floquet._advance(w, energy, x_lo, match, y_l.copy(), rtol, atol)
-        right, _ = floquet._advance(w, energy, x_hi, match, y_r.copy(), rtol, atol)
-        scale = math.sqrt(
-            (left[0] ** 2 + left[1] ** 2) * (right[0] ** 2 + right[1] ** 2)
-        )
-        return (left[0] * right[1] - left[1] * right[0]) / scale
+    def matrices(e, x0, x1):
+        return floquet.transfer_matrices(w, e, x0, x1, rtol=rtol, atol=atol)
 
-    lo, hi = float(e_lo), float(e_hi)
-    f_lo = mismatch(lo)
-    f_hi = mismatch(hi)
-    if f_lo * f_hi > 0.0:
-        # scan for a sign change inside the bracket
-        es = np.linspace(lo, hi, 17)
-        fs = [mismatch(e) for e in es]
-        found = None
-        for i in range(len(es) - 1):
-            if fs[i] * fs[i + 1] < 0.0:
-                found = i
-                break
-        if found is None:
-            return None
-        lo, hi, f_lo = es[found], es[found + 1], fs[found]
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = mismatch(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return 0.5 * (lo + hi)
+    def mismatch(es: np.ndarray) -> np.ndarray:
+        e = es.ravel()
+        y_l = _decaying_initial(matrices(e, x_lo, x_lo + period), e, "minus")
+        y_r = _decaying_initial(matrices(e, x_hi - period, x_hi), e, "plus")
+        left = np.einsum("nij,nj->ni", matrices(e, x_lo, match), y_l)
+        right = np.einsum("nij,nj->ni", matrices(e, x_hi, match), y_r)
+        wronskian = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+        scale = np.sqrt(np.sum(left**2, axis=1) * np.sum(right**2, axis=1))
+        return (wronskian / scale).reshape(es.shape)
+
+    es = np.linspace(float(e_lo), float(e_hi), floquet.SECTIONS + 1)
+    signs = np.sign(mismatch(es))
+    changes = np.nonzero(signs[:-1] != signs[1:])[0]
+    if changes.size == 0:
+        return None
+    i = int(changes[0])
+    # the scan above was the first of ceil(iters / 6) sweeps
+    found = floquet.ksection(
+        mismatch, es[i : i + 1], es[i + 1 : i + 2], signs[i : i + 1],
+        sweeps=math.ceil(iters / math.log2(floquet.SECTIONS)) - 1, width=1e-10,
+    )
+    return float(found[0])

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import floquet
 from .analysis import displacement_fit, invariance_test
-from .darboux import write_transform_csv
+from .darboux import susy1, susy2, write_transform_csv
 from .errors import (
     BandEnergyError,
     EllipticDomainError,
@@ -32,10 +32,9 @@ from .errors import (
     SingularTransformError,
     StiffIntegrationError,
 )
-from .potentials import Potential, lame, potential_from_dict
+from .potentials import LamePotential, Potential, lame, potential_from_dict
 from .scenarios import SCENARIOS, run_scenario
-from .seeds import bloch_seed, general_seed, write_seed_csv
-from .potentials import LamePotential
+from .seeds import bloch_seed, general_seed, nodeless_mixing, write_seed_csv
 
 __all__ = ["main", "run"]
 
@@ -69,7 +68,14 @@ def _env_overrides() -> dict:
                 opts[key] = cast(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {var}: {raw!r}") from exc
+            if cast is int and opts[key] <= 0:
+                raise ConfigError(f"{var} must be positive, got {raw!r}")
     return opts
+
+
+def _seed_kwargs(opts) -> dict:
+    """The overrides that seed construction and scenarios accept."""
+    return {k: opts[k] for k in ("periods", "samples_per_period", "rtol") if k in opts}
 
 
 def _load_config(path: str | None) -> dict:
@@ -128,6 +134,8 @@ def _float_tree(obj):
 
 
 def cmd_bands(args, config, opts) -> int:
+    if args.sweep_points <= 0:
+        raise ConfigError(f"--sweep-points must be positive, got {args.sweep_points}")
     v = _resolve_potential(args, config)
     if v.period is None:
         raise ConfigError("bands needs a periodic potential")
@@ -168,11 +176,7 @@ def cmd_bands(args, config, opts) -> int:
 def _transform_from_config(v, config, opts):
     order = int(config.get("order", 1))
     seed_kind = config.get("seed", "bloch")
-    kwargs = {
-        k: opts[k] for k in ("periods", "samples_per_period", "rtol") if k in opts
-    }
-    from .darboux import susy1, susy2
-    from .seeds import nodeless_mixing
+    kwargs = _seed_kwargs(opts)
 
     def one_seed(spec):
         eps = float(spec["epsilon"])
@@ -200,10 +204,7 @@ def cmd_transform(args, config, opts) -> int:
     if args.scenario:
         if args.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {args.scenario!r}")
-        run_kwargs = {
-            k: opts[k] for k in ("periods", "samples_per_period", "rtol") if k in opts
-        }
-        run = run_scenario(args.scenario, **run_kwargs)
+        run = run_scenario(args.scenario, **_seed_kwargs(opts))
         result = run.result
     else:
         v = _resolve_potential(args, config)
@@ -237,10 +238,7 @@ def cmd_invariance(args, config, opts) -> int:
     eps = args.epsilon if args.epsilon is not None else config.get("epsilon")
     if eps is None:
         raise ConfigError("invariance needs an epsilon (--epsilon or config)")
-    seed_kwargs = {
-        k: opts[k] for k in ("periods", "samples_per_period", "rtol") if k in opts
-    }
-    report = invariance_test(v, float(eps), **seed_kwargs)
+    report = invariance_test(v, float(eps), **_seed_kwargs(opts))
     out = _out_dir(args)
     _write_json(out / "invariance.json", _float_tree(report.to_dict()))
     print(f"wrote {out / 'invariance.json'} (verdict: {report.verdict})")
@@ -252,9 +250,7 @@ def cmd_states(args, config, opts) -> int:
     eps = args.epsilon if args.epsilon is not None else config.get("epsilon")
     if eps is None:
         raise ConfigError("states needs an epsilon (--epsilon or config)")
-    kwargs = {
-        k: opts[k] for k in ("periods", "samples_per_period", "rtol") if k in opts
-    }
+    kwargs = _seed_kwargs(opts)
     c_plus = args.c_plus if args.c_plus is not None else config.get("c_plus")
     c_minus = args.c_minus if args.c_minus is not None else config.get("c_minus")
     if c_plus is not None or c_minus is not None:

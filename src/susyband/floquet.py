@@ -37,6 +37,8 @@ __all__ = [
     "classify_discriminant",
     "multipliers_from_discriminant",
     "band_edges",
+    "ksection",
+    "SECTIONS",
     "write_discriminant_csv",
 ]
 
@@ -199,7 +201,9 @@ def transfer_matrix(v, energy, x0, x1, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) 
 
 
 def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """One-pass transfer matrices for a whole batch of energies; shape (nE, 2, 2).
+    """One-pass transfer matrices b(x1 <- x0) for a whole batch of energies;
+    shape (nE, 2, 2).  Either direction is allowed: with x1 < x0 the result
+    is the backward matrix, the inverse of b(x0 <- x1).
 
     The potential is evaluated once per integrator stage for the entire
     batch, so a dense energy sweep costs barely more than a single solve.
@@ -306,31 +310,36 @@ class BandStructure:
 
 
 #: cells per k-section sweep of a root bracket; each sweep gains log2 of it
-_SECTIONS = 64
+SECTIONS = 64
 #: grid points per sweep of an extremum search, and the number of sweeps
 _EXTREMUM_POINTS = 65
 _EXTREMUM_SWEEPS = 3
 
 
-def _ksection_roots(v, lo, hi, s_lo, targets, *, sweeps, rtol, atol):
-    """Batched k-section for D(E) = target_i on the brackets [lo_i, hi_i].
+def ksection(g, lo, hi, s_lo, *, sweeps: int, width: float = 0.0):
+    """Batched SECTIONS-fold k-section for roots of g on the brackets [lo_i, hi_i].
 
-    Each sweep evaluates D on _SECTIONS - 1 interior points of every bracket
-    in one batch and keeps, per bracket, the first cell whose right end no
-    longer has the sign s_lo_i of D - target_i at the left end (the last
-    cell when none does).
+    ``g`` maps an (n_brackets, SECTIONS - 1) array of energies, row i inside
+    bracket i, to the values of g there; it should evaluate them all in one
+    batch.  ``s_lo`` is the sign of g at each lo.  Each sweep evaluates the
+    interior section points of every bracket and keeps, per bracket, the
+    first cell whose right end no longer has the sign s_lo_i (the last cell
+    when none does).  Bracket ends are never evaluated again, so a root on a
+    section point, where the sign of g may depend on the batch, stays
+    bracketed.  Stops after ``sweeps`` sweeps, or once every bracket is
+    narrower than ``width``, and returns the bracket midpoints.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     s_lo = np.asarray(s_lo, dtype=float)[:, None]
-    targets = np.asarray(targets, dtype=float)[:, None]
-    frac = np.arange(1, _SECTIONS) / _SECTIONS
+    frac = np.arange(1, SECTIONS) / SECTIONS
     rows = np.arange(lo.size)
     for _ in range(sweeps):
+        if np.all(hi - lo < width):
+            break
         inner = lo[:, None] + (hi - lo)[:, None] * frac
-        g = discriminants(v, inner.ravel(), rtol=rtol, atol=atol).reshape(inner.shape) - targets
-        flipped = np.sign(g) != s_lo
-        cell = np.where(flipped.any(axis=1), flipped.argmax(axis=1), _SECTIONS - 1)
+        flipped = np.sign(g(inner)) != s_lo
+        cell = np.where(flipped.any(axis=1), flipped.argmax(axis=1), SECTIONS - 1)
         points = np.concatenate((lo[:, None], inner, hi[:, None]), axis=1)
         lo, hi = points[rows, cell], points[rows, cell + 1]
     return 0.5 * (lo + hi)
@@ -440,10 +449,12 @@ def band_edges(
 
     if brackets:
         lo, hi, s_lo, targets = np.array(brackets).T
-        refined = _ksection_roots(
-            v, lo, hi, s_lo, targets,
-            sweeps=math.ceil(refine_iters / math.log2(_SECTIONS)), rtol=rtol, atol=atol,
-        )
+
+        def g(e):
+            d = discriminants(v, e.ravel(), rtol=rtol, atol=atol)
+            return d.reshape(e.shape) - targets[:, None]
+
+        refined = ksection(g, lo, hi, s_lo, sweeps=math.ceil(refine_iters / math.log2(SECTIONS)))
         roots.extend((float(r), _EDGE_KIND[t]) for r, t in zip(refined, targets))
 
     roots.sort(key=lambda rk: rk[0])

@@ -146,3 +146,19 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     assert read(out1 / "discriminant.csv") == read(out2 / "discriminant.csv")
     assert read(out1 / "edges.json") == read(out2 / "edges.json")
+
+
+@pytest.mark.parametrize("points", ["-5", "0"])
+def test_nonpositive_sweep_points_exit_2(tmp_path, capsys, points):
+    code = run(["bands", "--lame-n", "1", "--emin", "0", "--emax", "1",
+                "--sweep-points", points, "--out", str(tmp_path)])
+    assert code == 2
+    assert "--sweep-points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var", ["SUSYBAND_PERIODS", "SUSYBAND_SAMPLES_PER_PERIOD"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_env_size_exit_2(tmp_path, monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    assert run(["transform", "--scenario", "fig3a", "--out", str(tmp_path)]) == 2
+    assert var in capsys.readouterr().err

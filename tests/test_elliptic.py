@@ -146,6 +146,22 @@ def test_against_scipy():
     assert complete_k(0.73) == pytest.approx(float(ellipk(0.73)), abs=1e-14)
 
 
+def test_against_mpmath():
+    # an independent implementation at 30 digits, imported for this test only
+    import mpmath
+
+    with mpmath.workdps(30):
+        for m in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            k = complete_k(m)
+            assert k == pytest.approx(float(mpmath.ellipk(m)), rel=1e-14)
+            xs = np.linspace(0.0, 8.0 * k, 33)  # two periods of sn and cn
+            array_path = np.array(jacobi_sncndn(xs, m))
+            for x, row in zip(xs, array_path.T):
+                exact = [float(mpmath.ellipfun(f, x, m=m)) for f in ("sn", "cn", "dn")]
+                assert np.max(np.abs(row - exact)) < 1e-13
+                assert np.max(np.abs(np.array(jacobi_sncndn(float(x), m)) - exact)) < 1e-13
+
+
 def test_large_argument_reduction():
     m = 0.5
     period = 4.0 * complete_k(m)

@@ -11,6 +11,7 @@ from susyband.floquet import (
     classify_discriminant,
     discriminant,
     discriminants,
+    ksection,
     multipliers_from_discriminant,
     propagate,
     transfer_matrices,
@@ -232,6 +233,20 @@ def test_lame_edges_closed_form(lame_bands, n, m):
         assert found == pytest.approx(want, abs=tol)
 
 
+def test_transfer_matrices_backward_is_inverse():
+    # either direction is allowed; b(x0 <- x1) undoes b(x1 <- x0)
+    v = lame(2, 0.5)
+    es = np.array([-1.0, 0.7, 2.2, 6.5])
+    x0, x1 = -0.3, v.period - 0.3
+    forward = transfer_matrices(v, es, x0, x1)
+    backward = transfer_matrices(v, es, x1, x0)
+    for f, b in zip(forward, backward):
+        inverse = np.array([[f[1, 1], -f[0, 1]], [-f[1, 0], f[0, 0]]])
+        scale = max(1.0, float(np.max(np.abs(f))))
+        assert np.max(np.abs(b - inverse)) / scale < 1e-9
+        assert np.linalg.det(b) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_band_edges_root_pair_inside_scan_cells():
     # the 7.9e-3 wide top gap of lame(2, 0.1) fits inside one 0.02 scan
     # cell: no sign change on the scan, only an extremum of D beyond +2
@@ -241,26 +256,81 @@ def test_band_edges_root_pair_inside_scan_cells():
         assert found == pytest.approx(want, abs=1e-6)
 
 
+def _counting(counts, name, fn):
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
 def test_band_edges_work_count(monkeypatch):
     # every D evaluation goes through the batched path: one scan, at most
     # three extremum sweeps and seven k-section sweeps
     from susyband import floquet
 
     counts = {"batches": 0, "single": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    monkeypatch.setattr(floquet, "transfer_matrices", counting("batches", floquet.transfer_matrices))
-    monkeypatch.setattr(floquet, "propagate", counting("single", floquet.propagate))
+    monkeypatch.setattr(
+        floquet, "transfer_matrices", _counting(counts, "batches", floquet.transfer_matrices)
+    )
+    monkeypatch.setattr(floquet, "propagate", _counting(counts, "single", floquet.propagate))
     bs = band_edges(lame(3, 0.5), -0.5, 13.0)
     assert len(bs.edges) == 7
     assert counts["batches"] <= 12
     assert counts["single"] == 0
+
+
+def test_shooting_work_count(monkeypatch, scenario_cache):
+    # every sweep is four transfer_matrices batches (two far-field periods,
+    # two legs to the matching point); no energy is propagated on its own
+    from susyband import analysis, floquet
+
+    run = scenario_cache("fig3a")
+    counts = {"batches": 0, "advance": 0, "single": 0}
+    monkeypatch.setattr(
+        floquet, "transfer_matrices", _counting(counts, "batches", floquet.transfer_matrices)
+    )
+    monkeypatch.setattr(floquet, "_advance", _counting(counts, "advance", floquet._advance))
+    monkeypatch.setattr(
+        floquet, "transfer_matrix", _counting(counts, "single", floquet.transfer_matrix)
+    )
+    x = run.result.x
+    found = analysis.shooting_eigenvalue(run.result.partner, -0.05, 0.05, x_lo=x[0], x_hi=x[-1])
+    assert found == pytest.approx(0.0, abs=1e-3)
+    assert counts["batches"] <= 4 * math.ceil(48 / 6)
+    assert counts["single"] == 0
+    # one integrator pass per batch, none called from analysis directly
+    assert counts["advance"] == counts["batches"]
+
+
+def test_ksection_keeps_sign_at_lo():
+    # the root sits on a section point, and within 1e-13 of it the sign of g
+    # alternates from call to call: a sweep that evaluated a bracket end
+    # again could see the bracket vanish
+    calls = []
+
+    def g(e):
+        calls.append(e.ravel().copy())
+        return e - 0.5 + 1e-13 * (-1) ** len(calls)
+
+    found = ksection(g, [0.0], [1.0], [-1.0], sweeps=6)
+    assert abs(found[0] - 0.5) <= 2.0**-36
+    assert all(c.size == 63 for c in calls)
+    evaluated = np.concatenate(calls)
+    assert np.unique(evaluated).size == evaluated.size
+    assert not np.isin([0.0, 1.0], evaluated).any()
+
+
+def test_ksection_stops_at_width():
+    calls = []
+
+    def g(e):
+        calls.append(e)
+        return e - 0.3
+
+    found = ksection(g, [0.0], [1.0], [-1.0], sweeps=8, width=1e-6)
+    assert len(calls) == 4  # 64**-3 > 1e-6 > 64**-4
+    assert found[0] == pytest.approx(0.3, abs=64.0**-4)
 
 
 def test_band_edge_interlacing(lame_bands):
