@@ -36,6 +36,7 @@ from .errors import (
     SingularSeedError,
     SingularTransformError,
     StiffIntegrationError,
+    WindowOverflowError,
 )
 from .floquet import (
     BandStructure,

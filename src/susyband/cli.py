@@ -31,6 +31,7 @@ from .errors import (
     SingularSeedError,
     SingularTransformError,
     StiffIntegrationError,
+    WindowOverflowError,
 )
 from .potentials import LamePotential, Potential, lame, potential_from_dict
 from .scenarios import SCENARIOS, run_scenario
@@ -50,6 +51,7 @@ _NUMERICAL_ERRORS = (
     SingularSeedError,
     SingularTransformError,
     StiffIntegrationError,
+    WindowOverflowError,
 )
 
 

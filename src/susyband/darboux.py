@@ -28,7 +28,7 @@ from .errors import (
     SeedConsistencyError,
     SingularTransformError,
 )
-from .numdiff import BOUNDARY_CELLS, derivative, second_derivative
+from .numdiff import BOUNDARY_CELLS, cell_max, derivative, local_max, second_derivative
 from .potentials import Potential, TabulatedPotential
 from .seeds import (
     KIND_GENERAL,
@@ -88,11 +88,8 @@ def _decay_rate(x, psi, period):
     """
     n = len(x) - 1
     spp = int(round(n * period / (x[-1] - x[0])))
-    cells = n // spp
-    peaks = np.array(
-        [np.max(np.abs(psi[c * spp : (c + 1) * spp + 1])) for c in range(cells)]
-    )
-    peaks = np.maximum(peaks, 1e-300)
+    peaks = np.maximum(cell_max(np.abs(psi), spp), 1e-300)
+    cells = peaks.size
     c_star = int(np.argmax(peaks))
     rates = []
     if c_star >= 3:
@@ -132,10 +129,9 @@ def _kernel_state(x, psi_raw, epsilon, seed_exponents, denom_exponents, period):
     )
 
 
-def _grid_params(seed: SeedSolution):
+def _samples_per_period(seed: SeedSolution) -> int:
     n = len(seed.x) - 1
-    spp = int(round(n * seed.period / (seed.x[-1] - seed.x[0])))
-    return n // spp, spp
+    return int(round(n * seed.period / (seed.x[-1] - seed.x[0])))
 
 
 def _one_period_values(branches, period, spp, fn):
@@ -195,7 +191,7 @@ def susy1(
     x = seed.x
     eps = seed.epsilon
     period = seed.period
-    _, spp = _grid_params(seed)
+    spp = _samples_per_period(seed)
     v_values = np.asarray(v(x), dtype=float)
     alpha = seed.u_prime / seed.u
     partner_values = 2.0 * eps - v_values + 2.0 * alpha * alpha
@@ -308,15 +304,12 @@ def susy2(
 
     x = seed1.x
     period = seed1.period
-    cells, spp = _grid_params(seed1)
+    spp = _samples_per_period(seed1)
     de = seed1.epsilon - seed2.epsilon
     w, wp = _wronskian_parts(seed1, seed2)
 
     # zero-freeness against a per-period local scale
-    local = np.empty_like(w)
-    for c in range(cells):
-        seg = slice(c * spp, (c + 1) * spp + 1)
-        local[seg] = np.max(np.abs(w[seg]))
+    local = local_max(np.abs(w), spp)
     sign_flips = np.nonzero(w[:-1] * w[1:] < 0.0)[0]
     if sign_flips.size or np.any(np.abs(w) < 1e-12 * local):
         zeros = [0.5 * (x[i] + x[i + 1]) for i in sign_flips]

@@ -51,5 +51,17 @@ class SeedConsistencyError(ValueError):
         self.residual = residual
 
 
+class WindowOverflowError(ValueError):
+    """A seed's multiplier extension |beta|^cells overflows over the working window."""
+
+    def __init__(self, periods: int, multiplier: float):
+        super().__init__(
+            f"seed amplitude overflows over a window of {periods} periods "
+            f"(multiplier beta = {multiplier:.6g}); use fewer periods"
+        )
+        self.periods = periods
+        self.multiplier = multiplier
+
+
 class ConfluentTransformError(ValueError):
     """Second-order transform requested with equal factorization energies."""

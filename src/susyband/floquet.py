@@ -5,7 +5,9 @@ is integrated with an adaptive embedded Dormand-Prince 5(4) pair.  The two
 canonical columns (1,0) and (0,1) propagate together, so the result of one
 pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
 ride along in one integration since V(x) is shared between them, which is
-what makes dense discriminant sweeps cheap.
+what makes dense discriminant sweeps cheap.  A sampled propagation at one
+energy instead steps every cell between its breakpoints at once, with one
+vector call of V per pass, and halves the cells that fail the error test.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E), the |D| trichotomy classifier, and the band-edge finder.
@@ -67,6 +69,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
+#: smallest step, relative to max(1, |x|), before StiffIntegrationError
+_H_FLOOR = 64.0 * np.finfo(float).eps
 
 
 def _deriv(v_x: float, e, y):
@@ -74,29 +78,28 @@ def _deriv(v_x: float, e, y):
     return np.stack((y[1], (v_x - e) * y[0]))
 
 
-def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float, f_start=None):
+def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
     """Adaptive DP5(4) advance of y from x0 to x1 (either direction).
 
     `v` is a scalar-in scalar-out callable; `e` broadcasts against the
-    trailing shape of y.  Returns (y_end, f_end) with f_end reusable as the
-    FSAL stage of a continuation.
+    trailing shape of y.
     """
     span = x1 - x0
     if span == 0.0:
-        return y, f_start
+        return y
     direction = 1.0 if span > 0 else -1.0
     x = x0
-    f1 = _deriv(v(x), e, y) if f_start is None else f_start
+    v_x = v(x)
+    f1 = _deriv(v_x, e, y)
 
     # First trial step from the local oscillation scale.
-    k_scale = math.sqrt(max(1.0, float(np.max(np.abs(v(x0) - e)))))
+    k_scale = math.sqrt(max(1.0, float(np.max(np.abs(v_x - e)))))
     h = direction * min(abs(span), 0.1 / k_scale)
-    h_floor = 64.0 * np.finfo(float).eps
 
     while (x1 - x) * direction > 0.0:
         if abs(h) > abs(x1 - x):
             h = x1 - x
-        if abs(h) < h_floor * max(1.0, abs(x)):
+        if abs(h) < _H_FLOOR * max(1.0, abs(x)):
             raise StiffIntegrationError("step size underflow in propagation", x)
 
         k2 = _deriv(v(x + _C2 * h), e, y + h * (_A21 * f1))
@@ -105,13 +108,14 @@ def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float, f_start=No
         k5 = _deriv(
             v(x + _C5 * h), e, y + h * (_A51 * f1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
         )
+        v_end = v(x + h)
         k6 = _deriv(
-            v(x + h),
+            v_end,
             e,
             y + h * (_A61 * f1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
         )
         y_new = y + h * (_B1 * f1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = _deriv(v(x + h), e, y_new)
+        k7 = _deriv(v_end, e, y_new)
 
         err = h * (_E1 * f1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
@@ -127,19 +131,85 @@ def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float, f_start=No
             h *= factor
         else:
             h *= max(_MIN_SHRINK, _SAFETY * err_norm ** -0.2)
-    return y, f1
+    return y
+
+
+#: stage abscissae of the DP5 step, as fractions of the step
+_NODES = np.array([0.0, _C2, _C3, _C4, _C5, 1.0])
+
+
+def _cell_steps(v, e: float, x0, h):
+    """One DP5 step from the identity on every cell [x0_k, x0_k + h_k] at once.
+
+    The system is linear, so the step of any y is y + D_k @ y with local
+    error E_k @ y.  All stage abscissae go to ``v`` in one vector call.
+    Returns D and E, each of shape (n_cells, 2, 2).
+    """
+    vs = np.asarray(v((x0 + _NODES[:, None] * h).ravel()), dtype=float).reshape(6, -1)
+    eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, h.size))
+    f1 = _deriv(vs[0], e, eye)
+    k2 = _deriv(vs[1], e, eye + h * (_A21 * f1))
+    k3 = _deriv(vs[2], e, eye + h * (_A31 * f1 + _A32 * k2))
+    k4 = _deriv(vs[3], e, eye + h * (_A41 * f1 + _A42 * k2 + _A43 * k3))
+    k5 = _deriv(vs[4], e, eye + h * (_A51 * f1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = _deriv(
+        vs[5], e, eye + h * (_A61 * f1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+    )
+    d = h * (_B1 * f1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = _deriv(vs[5], e, eye + d)
+    err = h * (_E1 * f1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    return np.moveaxis(d, 2, 0), np.moveaxis(err, 2, 0)
 
 
 def _advance_sampled(v, e, xs, y0, rtol: float, atol: float):
-    """Advance through the strictly monotone breakpoints xs, recording y at each."""
-    out = np.empty((len(xs),) + np.shape(y0))
-    out[0] = y0
-    y = y0
-    f = None
-    for i in range(1, len(xs)):
-        y, f = _advance(v, e, xs[i - 1], xs[i], y, rtol, atol, f_start=f)
-        out[i] = y
-    return out
+    """Advance through the strictly monotone breakpoints xs, recording y at each.
+
+    Every cell between breakpoints takes one DP5 step, all cells in one
+    vectorized pass (``_cell_steps``), and y is carried across them in
+    increment form, y_k = y_{k-1} + D_k @ y_{k-1}.  Each step must pass the
+    error test of ``_advance`` on the trajectory itself; every cell that
+    fails is halved and the pass repeats over the refined grid.  Cells past
+    the first one that starts from a non-finite y wait for a later pass, so
+    a NaN or an overflow refines only where it arises, down to the step
+    floor of ``_advance``, where StiffIntegrationError is raised.
+    """
+    grid = np.asarray(xs, dtype=float)
+    at_break = np.ones(grid.size, dtype=bool)
+    d, err = _cell_steps(v, e, grid[:-1], np.diff(grid))
+    while True:
+        ys = np.empty((grid.size,) + np.shape(y0))
+        ys[0] = y = y0
+        for k, dk in enumerate(d, 1):
+            y = y + dk @ y
+            ys[k] = y
+        start = ys[:-1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = atol + rtol * np.maximum(np.abs(start), np.abs(ys[1:]))
+            norm = np.max(np.abs(err @ start) / scale, axis=(1, 2))
+        bad = ~(norm <= 1.0)
+        # cells past the first non-finite start wait for a finite one
+        blocked = np.flatnonzero(~np.isfinite(start).all(axis=(1, 2)))
+        if blocked.size:
+            bad[blocked[0] + 1:] = False
+        cells = np.flatnonzero(bad)
+        if not cells.size:
+            return ys[at_break]
+        lo, hi = grid[cells], grid[cells + 1]
+        mid = lo + 0.5 * (hi - lo)
+        width = np.minimum(np.abs(mid - lo), np.abs(hi - mid))
+        tiny = width < _H_FLOOR * np.maximum(1.0, np.abs(lo))
+        if tiny.any():
+            raise StiffIntegrationError(
+                "step size underflow in propagation", float(lo[tiny.argmax()])
+            )
+        # cell k of the old grid becomes cells (k + j, k + j + 1), j its rank
+        pos = cells + np.arange(cells.size)
+        halves = np.stack((pos, pos + 1), axis=1).ravel()
+        grid = np.insert(grid, cells + 1, mid)
+        at_break = np.insert(at_break, cells + 1, False)
+        d = np.insert(d, cells + 1, 0.0, axis=0)
+        err = np.insert(err, cells + 1, 0.0, axis=0)
+        d[halves], err[halves] = _cell_steps(v, e, grid[halves], np.diff(grid)[halves])
 
 
 @dataclass(frozen=True)
@@ -179,7 +249,9 @@ def propagate(
 
     With ``samples=n`` the interval is traversed through n+1 uniform
     breakpoints and the canonical-column matrices b(x_k <- x0) are recorded,
-    so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.
+    so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  The
+    sampled path steps all cells at once and calls ``v`` only on arrays, so
+    it needs a vector-capable V; without ``samples`` V is called on scalars.
 
     Returns (TransferMatrix, trace) where trace is None or an array of shape
     (n+1, 2, 2).
@@ -188,7 +260,7 @@ def propagate(
         raise ValueError("propagation interval must satisfy x0 < x1")
     y0 = np.eye(2)
     if samples is None:
-        y, _ = _advance(v, float(energy), x0, x1, y0, rtol, atol)
+        y = _advance(v, float(energy), x0, x1, y0, rtol, atol)
         return TransferMatrix(y, x0, x1, float(energy)), None
     xs = np.linspace(x0, x1, samples + 1)
     trace = _advance_sampled(v, float(energy), xs, y0, rtol, atol)
@@ -214,7 +286,7 @@ def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
     if e.size == 0:
         return np.empty((0, 2, 2))
     y0 = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, e.size)).copy()
-    y, _ = _advance(v, e[None, :], x0, x1, y0, rtol, atol)
+    y = _advance(v, e[None, :], x0, x1, y0, rtol, atol)
     return np.moveaxis(y, 2, 0)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derivative", "second_derivative", "BOUNDARY_CELLS"]
+__all__ = ["derivative", "second_derivative", "cell_max", "local_max", "BOUNDARY_CELLS"]
 
 BOUNDARY_CELLS = 3
 
@@ -48,3 +48,19 @@ def second_derivative(y, h: float) -> np.ndarray:
     out[:3] = out[3]
     out[-3:] = out[-4]
     return out
+
+
+def cell_max(a, spp: int) -> np.ndarray:
+    """Max of a over each period cell, the inclusive segments [c*spp, (c+1)*spp]
+    of its last axis, which holds cells*spp + 1 samples; shape (..., cells)."""
+    a = np.asarray(a)
+    cells = (a.shape[-1] - 1) // spp
+    body = a[..., : cells * spp].reshape(a.shape[:-1] + (cells, spp)).max(axis=-1)
+    return np.maximum(body, a[..., spp::spp])
+
+
+def local_max(a, spp: int) -> np.ndarray:
+    """cell_max spread back over the samples of a; a sample shared by two
+    cells takes the later cell's value."""
+    top = cell_max(a, spp)
+    return np.append(np.repeat(top, spp, axis=-1), top[..., -1:], axis=-1)

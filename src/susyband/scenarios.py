@@ -16,6 +16,7 @@ import numpy as np
 from . import floquet
 from .darboux import TransformResult, susy1, susy2
 from .errors import SingularTransformError
+from .numdiff import cell_max
 from .potentials import DEFAULT_SAMPLES_PER_PERIOD, LamePotential, lame
 from .seeds import (
     DEFAULT_PERIODS,
@@ -105,18 +106,14 @@ def band_structure_for(
     return _BAND_CACHE[key]
 
 
-def _wronskian_score(u1, up1, u2, up2, spp):
-    """min |W| over the grid, normalized by the per-period scale of W."""
-    w = u1 * up2 - up1 * u2
-    cells = (len(w) - 1) // spp
-    score = np.inf
-    for c in range(cells):
-        seg = np.abs(w[c * spp : (c + 1) * spp + 1])
-        top = np.max(seg)
-        if top == 0.0:
-            return 0.0
-        score = min(score, float(np.min(seg) / top))
-    return score
+def _wronskian_score(w, spp):
+    """min |W| / max |W| over the worst period cell, along the last axis;
+    0 where W vanishes on a whole cell."""
+    mag = np.abs(w)
+    top = cell_max(mag, spp)
+    with np.errstate(invalid="ignore"):
+        score = np.min(-cell_max(-mag, spp) / top, axis=-1)
+    return np.where((top == 0.0).any(axis=-1), 0.0, score)
 
 
 def _best_bloch_pair(v, e1, e2, periods, samples_per_period, rtol, atol):
@@ -129,10 +126,11 @@ def _best_bloch_pair(v, e1, e2, periods, samples_per_period, rtol, atol):
     best_score = -1.0
     for s1 in pair1:
         for s2 in pair2:
-            score = _wronskian_score(
-                s1.u, s1.u_prime, s2.u, s2.u_prime, samples_per_period
-            )
-            if score > best_score:
+            w = s1.u * s2.u_prime - s1.u_prime * s2.u
+            score = float(_wronskian_score(w, samples_per_period))
+            # on an even potential the two cross pairings are mirror images
+            # and tie up to rounding: a later pair must win by more than that
+            if score > best_score * (1.0 + 1e-9):
                 best_score = score
                 best = (s1, s2)
     return best
@@ -172,31 +170,23 @@ def _best_general_pair(v, e1, e2, periods, samples_per_period, rtol, atol):
             u2, up2 = b2.evaluate(x)
             row.append(u1 * up2 - up1 * u2)
         basis.append(row)
-    thetas = _mixing_angles()
-    cells = periods
+    coeffs = [(np.cos(t), np.sin(t)) for t in _mixing_angles()]
+    cos2, sin2 = np.array(coeffs).T[:, :, None]
     best = None
     best_score = -1.0
-    for t1 in thetas:
-        c1 = (np.cos(t1), np.sin(t1))
-        for t2 in thetas:
-            c2 = (np.cos(t2), np.sin(t2))
-            w = (
-                c1[0] * c2[0] * basis[0][0]
-                + c1[0] * c2[1] * basis[0][1]
-                + c1[1] * c2[0] * basis[1][0]
-                + c1[1] * c2[1] * basis[1][1]
-            )
-            score = np.inf
-            for c in range(cells):
-                seg = np.abs(w[c * spp_coarse : (c + 1) * spp_coarse + 1])
-                top = np.max(seg)
-                if top == 0.0:
-                    score = 0.0
-                    break
-                score = min(score, float(np.min(seg) / top))
-            if score > best_score:
-                best_score = score
-                best = (c1, c2)
+    for c1 in coeffs:
+        # every second angle at once: row j is W at (c1, coeffs[j])
+        w = (
+            c1[0] * cos2 * basis[0][0]
+            + c1[0] * sin2 * basis[0][1]
+            + c1[1] * cos2 * basis[1][0]
+            + c1[1] * sin2 * basis[1][1]
+        )
+        scores = _wronskian_score(w, spp_coarse)
+        j = int(np.argmax(scores))
+        if scores[j] > best_score:
+            best_score = float(scores[j])
+            best = (c1, coeffs[j])
     if best is None or best_score <= 0.0:
         raise SingularTransformError(
             f"no zero-free Wronskian mixing found for energies {e1}, {e2}"

@@ -21,8 +21,8 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import floquet
-from .errors import BandEnergyError, SingularSeedError
-from .numdiff import BOUNDARY_CELLS, derivative
+from .errors import BandEnergyError, SingularSeedError, WindowOverflowError
+from .numdiff import BOUNDARY_CELLS, derivative, local_max
 from .potentials import DEFAULT_SAMPLES_PER_PERIOD, Potential
 
 __all__ = [
@@ -213,11 +213,7 @@ def _count_nodes(x, u, samples_per_period, evaluate):
     The zero threshold is local (per period cell), since a seed can span
     fifteen orders of magnitude across the window.
     """
-    n_cells = max(1, (len(u) - 1) // samples_per_period)
-    local_scale = np.empty_like(u)
-    for c in range(n_cells):
-        seg = slice(c * samples_per_period, (c + 1) * samples_per_period + 1)
-        local_scale[seg] = np.max(np.abs(u[seg]))
+    local_scale = local_max(np.abs(u), samples_per_period)
     nodes = []
     for i in np.nonzero(u[:-1] * u[1:] < 0.0)[0]:
         nodes.append(brentq(lambda t: evaluate(t)[0], x[i], x[i + 1], xtol=1e-12))
@@ -241,11 +237,7 @@ def _riccati_residual(x, u, up, v_values, epsilon, samples_per_period):
     per-period amplitude floor.
     """
     h = x[1] - x[0]
-    n_cells = max(1, (len(u) - 1) // samples_per_period)
-    local_scale = np.empty_like(u)
-    for c in range(n_cells):
-        seg = slice(c * samples_per_period, (c + 1) * samples_per_period + 1)
-        local_scale[seg] = np.max(np.abs(u[seg]))
+    local_scale = local_max(np.abs(u), samples_per_period)
     safe = np.abs(u) > 1e-3 * local_scale
     margin = max(BOUNDARY_CELLS + 1, samples_per_period // 16)
     for i in np.nonzero((u[:-1] * u[1:] < 0.0) | (u[:-1] == 0.0))[0]:
@@ -277,12 +269,16 @@ def _assemble(
     x, window = _window_grid(period, periods, samples_per_period)
     u = np.zeros_like(x)
     up = np.zeros_like(x)
-    for coeff, branch in branches:
-        if coeff == 0.0:
-            continue
-        bu, bup = branch.evaluate(x)
-        u += coeff * bu
-        up += coeff * bup
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, branch in branches:
+            if coeff == 0.0:
+                continue
+            bu, bup = branch.evaluate(x)
+            u += coeff * bu
+            up += coeff * bup
+    if not (np.isfinite(u).all() and np.isfinite(up).all()):
+        beta = max((b.multiplier for c, b in branches if c != 0.0), key=abs)
+        raise WindowOverflowError(periods, beta)
 
     def eval_u(t):
         total_u = 0.0

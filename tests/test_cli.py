@@ -162,3 +162,9 @@ def test_nonpositive_env_size_exit_2(tmp_path, monkeypatch, capsys, var, value):
     monkeypatch.setenv(var, value)
     assert run(["transform", "--scenario", "fig3a", "--out", str(tmp_path)]) == 2
     assert var in capsys.readouterr().err
+
+
+def test_window_overflow_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SUSYBAND_PERIODS", "400")
+    assert run(["transform", "--scenario", "fig2a", "--out", str(tmp_path)]) == 3
+    assert "overflow" in capsys.readouterr().err

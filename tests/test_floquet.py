@@ -18,7 +18,7 @@ from susyband.floquet import (
     transfer_matrix,
     write_discriminant_csv,
 )
-from susyband.potentials import ConstantPotential, lame
+from susyband.potentials import ConstantPotential, Potential, lame
 
 FREE = ConstantPotential(0.0, period=2.0)
 
@@ -139,6 +139,78 @@ def test_propagate_trace_columns():
     init = np.array([0.3, -1.1])
     direct = transfer_matrix(v, 0.8, 0.0, v.period / 2).matrix @ init
     assert np.max(np.abs(trace[32] @ init - direct)) < 1e-8
+
+
+@pytest.mark.parametrize("samples", [16, 256, 2048])
+@pytest.mark.parametrize("n, m, energy", [(1, 0.5, 0.8), (3, 0.95, 2.0)])
+def test_sampled_trace_matches_chained_transfer_matrices(n, m, energy, samples):
+    # the cell-parallel pass against one adaptive solve per interval; at 16
+    # samples the cells are too wide for one step and get halved
+    v = lame(n, m)
+    _, trace = propagate(v, energy, 0.0, v.period, samples=samples)
+    xs = np.linspace(0.0, v.period, samples + 1)
+    chained = [np.eye(2)]
+    for a, b in zip(xs[:-1], xs[1:]):
+        chained.append(transfer_matrix(v, energy, a, b).matrix @ chained[-1])
+    chained = np.array(chained)
+    assert np.max(np.abs(trace - chained)) / max(1.0, np.max(np.abs(chained))) < 1e-9
+
+
+class _Recording(Potential):
+    """Wraps a potential and records every call: a scalar x, or an array."""
+
+    def __init__(self, base):
+        self.base = base
+        self.period = base.period
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(x if np.isscalar(x) else np.array(x))
+        return self.base(x)
+
+
+def test_sampled_propagation_calls_v_on_vectors():
+    v = _Recording(lame(2, 0.5))
+    propagate(v, 0.4, 0.0, v.period, samples=2048)
+    assert not [x for x in v.calls if np.isscalar(x)]
+    assert 1 <= len(v.calls) <= 3
+    # one cell of the 16-sample grid needs several steps: the halving passes
+    v = _Recording(lame(2, 0.5))
+    propagate(v, 0.4, 0.0, v.period, samples=16)
+    assert not [x for x in v.calls if np.isscalar(x)]
+    assert len(v.calls) > 1
+
+
+def test_advance_evaluates_each_point_once():
+    v = _Recording(lame(2, 0.5))
+    transfer_matrix(v, 0.4, 0.0, v.period)
+    xs = [float(x) for x in v.calls]
+    assert len(xs) == len(v.calls) > 6
+    assert all(a != b for a, b in zip(xs, xs[1:]))
+
+
+def test_sampled_propagation_pole_raises():
+    # a pole inside one cell, and a patch where V is NaN: the cells there
+    # are halved down to the step floor, never accepted
+    from susyband.errors import StiffIntegrationError
+
+    class Pole(Potential):
+        period = 2.0
+
+        def __call__(self, x):
+            return 1.0 / (x - 1.00037)
+
+    class NanPatch(Potential):
+        period = 2.0
+
+        def __call__(self, x):
+            return np.where((x > 0.9) & (x < 1.1), math.nan, 0.0)
+
+    for v, where in ((Pole(), 1.00037), (NanPatch(), 0.9)):
+        for samples in (16, 2048):
+            with pytest.raises(StiffIntegrationError) as err:
+                propagate(v, 1.0, 0.0, 2.0, samples=samples)
+            assert err.value.x == pytest.approx(where, abs=1e-3)
 
 
 def test_batched_matches_scalar():

@@ -1,0 +1,26 @@
+import numpy as np
+
+from susyband.numdiff import cell_max, local_max
+
+
+def test_cell_max_inclusive_segments():
+    rng = np.random.default_rng(4)
+    spp = 8
+    a = rng.standard_normal(5 * spp + 1)
+    want = [np.max(a[c * spp : (c + 1) * spp + 1]) for c in range(5)]
+    assert np.array_equal(cell_max(a, spp), want)
+    rows = rng.standard_normal((3, 5 * spp + 1))
+    assert np.array_equal(cell_max(rows, spp)[1], cell_max(rows[1], spp))
+
+
+def test_local_max_shared_sample_takes_later_cell():
+    spp = 4
+    a = np.zeros(3 * spp + 1)
+    a[2] = 5.0  # cell 0
+    a[spp] = 1.0  # shared by cells 0 and 1
+    a[2 * spp + 1] = 7.0  # cell 2
+    local = local_max(a, spp)
+    assert local.shape == a.shape
+    assert np.array_equal(local[:spp], [5.0] * spp)
+    assert np.array_equal(local[spp : 2 * spp], [1.0] * spp)
+    assert np.array_equal(local[2 * spp :], [7.0] * (spp + 1))

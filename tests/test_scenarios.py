@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from susyband.scenarios import SCENARIOS, run_scenario
+from susyband.scenarios import SCENARIOS, _mixing_angles, run_scenario
+from susyband.seeds import bloch_branches
 
 
 def test_registry_names():
@@ -53,3 +54,56 @@ def test_scenario_deterministic(scenario_cache):
     again = run_scenario("fig3c")
     assert first.seeds[0].coefficients == again.seeds[0].coefficients
     assert np.array_equal(first.result.partner_values, again.result.partner_values)
+
+
+def _reference_general_mixing(v, e1, e2, periods=16, spp=256):
+    """The mixing search as one Python loop over both angles and all cells."""
+    g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp)
+    g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp)
+    half = periods // 2
+    x = np.linspace(-half * v.period, half * v.period, periods * spp + 1)
+    basis = []
+    for b1 in (g1, d1):
+        u1, up1 = b1.evaluate(x)
+        row = []
+        for b2 in (g2, d2):
+            u2, up2 = b2.evaluate(x)
+            row.append(u1 * up2 - up1 * u2)
+        basis.append(row)
+    best, best_score = None, -1.0
+    for t1 in _mixing_angles():
+        c1 = (np.cos(t1), np.sin(t1))
+        for t2 in _mixing_angles():
+            c2 = (np.cos(t2), np.sin(t2))
+            w = (
+                c1[0] * c2[0] * basis[0][0]
+                + c1[0] * c2[1] * basis[0][1]
+                + c1[1] * c2[0] * basis[1][0]
+                + c1[1] * c2[1] * basis[1][1]
+            )
+            score = np.inf
+            for c in range(periods):
+                seg = np.abs(w[c * spp : (c + 1) * spp + 1])
+                top = np.max(seg)
+                if top == 0.0:
+                    score = 0.0
+                    break
+                score = min(score, float(np.min(seg) / top))
+            if score > best_score:
+                best_score, best = score, (c1, c2)
+    return best
+
+
+@pytest.mark.parametrize("name", ["fig3c", "fig3d"])
+def test_general_pair_matches_reference_loop(scenario_cache, name):
+    run = scenario_cache(name)
+    c1, c2 = _reference_general_mixing(run.potential, *run.scenario.energies)
+    assert run.seeds[0].coefficients == c1
+    assert run.seeds[1].coefficients == c2
+
+
+def test_bloch_pair_tie_keeps_first(scenario_cache):
+    # lame is even, so (growing at e1, decaying at e2) and its mirror image
+    # (decaying at e1, growing at e2) tie; the first of the two is kept
+    run = scenario_cache("fig2c")
+    assert abs(run.seeds[0].multiplier) > 1.0 > abs(run.seeds[1].multiplier)

@@ -1,11 +1,12 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from susyband.elliptic import jacobi_sncndn
-from susyband.errors import BandEnergyError, SingularSeedError
+from susyband.errors import BandEnergyError, SingularSeedError, WindowOverflowError
 from susyband.floquet import propagate
 from susyband.potentials import ConstantPotential, lame
 from susyband.seeds import (
@@ -145,6 +146,18 @@ def test_nodeless_mixing_midpoint():
 def test_nodeless_mixing_missing_in_gap():
     with pytest.raises(SingularSeedError):
         nodeless_mixing(LAME2, 1.6)
+
+
+def test_window_overflow_names_its_cause():
+    # |beta|^200 overflows for beta = 98 at 400 periods; the seed must not
+    # reach the Riccati gate holding inf/NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WindowOverflowError) as err:
+            bloch_seed(LAME1, -1.0, periods=400)
+    assert "overflow" in str(err.value)
+    assert err.value.periods == 400
+    assert err.value.multiplier > 1.0
 
 
 def test_superpotential_free_particle():
