@@ -1,16 +1,20 @@
 """Transfer-matrix machinery for -psi'' + V(x) psi = E psi on periodic potentials.
 
 The first-order system d/dx (psi, psi') = [[0, 1], [V - E, 0]] (psi, psi')
-is integrated with an adaptive embedded Dormand-Prince 5(4) pair.  The two
+is integrated with an embedded Dormand-Prince 5(4) pair.  The two
 canonical columns (1,0) and (0,1) propagate together, so the result of one
 pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
-ride along in one integration since V(x) is shared between them, which is
-what makes dense discriminant sweeps cheap.  A sampled propagation at one
-energy instead steps every cell between its breakpoints at once, with one
-vector call of V per pass, and halves the cells that fail the error test.
+ride along in one adaptive integration since V(x) is shared between them,
+which is what makes dense discriminant sweeps cheap.  A sampled propagation
+at one energy instead steps every cell between its breakpoints at once,
+with one vector call of V per pass, and halves the cells that fail the
+error test.  Both paths take their steps through ``_dp5_step``: the
+tableau exists once, as the arrays _A, _B, _E and _C, and each stage is
+one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
-D(E), the |D| trichotomy classifier, and the band-edge finder.
+D(E) (from half a period for an even potential), the |D| trichotomy
+classifier, and the band-edge finder.
 """
 
 from __future__ import annotations
@@ -49,22 +53,22 @@ DEFAULT_ATOL = 1e-12
 #: |D| within this of 2 classifies an energy as a band edge
 EDGE_TOL = 1e-7
 
-# Dormand-Prince 5(4) tableau (FSAL)
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+# Dormand-Prince 5(4) tableau (FSAL).  Stage i is the slope at x + C[i] h of
+# y + h A[i, :i] . k[:i]; the step is h B . k[:6], its error estimate
+# h E . k, where k[6] is the slope at the end of the step.
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+])
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.2
@@ -73,9 +77,26 @@ _SAFETY = 0.9
 _H_FLOOR = 64.0 * np.finfo(float).eps
 
 
-def _deriv(v_x: float, e, y):
-    """RHS of the matrix Schrodinger system; y has shape (2, ...)."""
-    return np.stack((y[1], (v_x - e) * y[0]))
+def _deriv_into(out, v_x, e, y):
+    """out <- (y[1], (V - E) y[0]), the RHS of the matrix Schrodinger system."""
+    out[0] = y[1]
+    np.multiply(v_x - e, y[0], out=out[1])
+
+
+def _dp5_step(k, vs, e, y, h):
+    """One DP5 step of y by h, its stages kept in the buffer k of shape (7,) + y.shape.
+
+    k[0] must hold the slope at the start of the step, and vs[i] is V at
+    x + C[i] h (vs[0] is not read); h is a scalar or broadcasts against y's
+    trailing axis.  Fills k[1:] and returns the increment h B . k[:6] and
+    the error h E . k.
+    """
+    rows = k.reshape(7, -1)
+    for i in range(1, 6):
+        _deriv_into(k[i], vs[i], e, y + h * (_A[i, :i] @ rows[:i]).reshape(y.shape))
+    d = h * (_B @ rows[:6]).reshape(y.shape)
+    _deriv_into(k[6], vs[5], e, y + d)
+    return d, h * (_E @ rows).reshape(y.shape)
 
 
 def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
@@ -90,7 +111,9 @@ def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
     direction = 1.0 if span > 0 else -1.0
     x = x0
     v_x = v(x)
-    f1 = _deriv(v_x, e, y)
+    k = np.empty((7,) + y.shape)
+    _deriv_into(k[0], v_x, e, y)
+    nodes = _C[1:].tolist()
 
     # First trial step from the local oscillation scale.
     k_scale = math.sqrt(max(1.0, float(np.max(np.abs(v_x - e)))))
@@ -102,29 +125,16 @@ def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
         if abs(h) < _H_FLOOR * max(1.0, abs(x)):
             raise StiffIntegrationError("step size underflow in propagation", x)
 
-        k2 = _deriv(v(x + _C2 * h), e, y + h * (_A21 * f1))
-        k3 = _deriv(v(x + _C3 * h), e, y + h * (_A31 * f1 + _A32 * k2))
-        k4 = _deriv(v(x + _C4 * h), e, y + h * (_A41 * f1 + _A42 * k2 + _A43 * k3))
-        k5 = _deriv(
-            v(x + _C5 * h), e, y + h * (_A51 * f1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-        )
-        v_end = v(x + h)
-        k6 = _deriv(
-            v_end,
-            e,
-            y + h * (_A61 * f1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5),
-        )
-        y_new = y + h * (_B1 * f1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = _deriv(v_end, e, y_new)
-
-        err = h * (_E1 * f1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        vs = [None] + [v(x + c * h) for c in nodes]
+        y_new, err = _dp5_step(k, vs, e, y, h)
+        y_new += y  # in place: the increment's array becomes y_new
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.max(np.abs(err) / scale))
 
         if err_norm <= 1.0:
             x += h
             y = y_new
-            f1 = k7
+            k[0] = k[6]
             factor = _MAX_GROW if err_norm == 0.0 else min(
                 _MAX_GROW, max(_MIN_SHRINK, _SAFETY * err_norm ** -0.2)
             )
@@ -134,10 +144,6 @@ def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
     return y
 
 
-#: stage abscissae of the DP5 step, as fractions of the step
-_NODES = np.array([0.0, _C2, _C3, _C4, _C5, 1.0])
-
-
 def _cell_steps(v, e: float, x0, h):
     """One DP5 step from the identity on every cell [x0_k, x0_k + h_k] at once.
 
@@ -145,19 +151,11 @@ def _cell_steps(v, e: float, x0, h):
     error E_k @ y.  All stage abscissae go to ``v`` in one vector call.
     Returns D and E, each of shape (n_cells, 2, 2).
     """
-    vs = np.asarray(v((x0 + _NODES[:, None] * h).ravel()), dtype=float).reshape(6, -1)
+    vs = np.asarray(v((x0 + _C[:, None] * h).ravel()), dtype=float).reshape(6, -1)
     eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, h.size))
-    f1 = _deriv(vs[0], e, eye)
-    k2 = _deriv(vs[1], e, eye + h * (_A21 * f1))
-    k3 = _deriv(vs[2], e, eye + h * (_A31 * f1 + _A32 * k2))
-    k4 = _deriv(vs[3], e, eye + h * (_A41 * f1 + _A42 * k2 + _A43 * k3))
-    k5 = _deriv(vs[4], e, eye + h * (_A51 * f1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = _deriv(
-        vs[5], e, eye + h * (_A61 * f1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-    )
-    d = h * (_B1 * f1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = _deriv(vs[5], e, eye + d)
-    err = h * (_E1 * f1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+    k = np.empty((7, 2, 2, h.size))
+    _deriv_into(k[0], vs[0], e, eye)
+    d, err = _dp5_step(k, vs, e, eye, h)
     return np.moveaxis(d, 2, 0), np.moveaxis(err, 2, 0)
 
 
@@ -299,13 +297,20 @@ def _require_period(v: Potential) -> float:
 
 def discriminant(v, energy, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> float:
     """D(E) = Tr b(T <- 0), the trace of the one-period Floquet matrix."""
-    period = _require_period(v)
-    return transfer_matrix(v, energy, 0.0, period, rtol=rtol, atol=atol).trace
+    return float(discriminants(v, [energy], rtol=rtol, atol=atol)[0])
 
 
 def discriminants(v, energies, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Batched discriminant sweep over an array of energies."""
+    """Batched discriminant sweep over an array of energies.
+
+    An even potential (``v.even``) is integrated over half a period only:
+    with b(T/2 <- 0) = [[a, b], [c, d]], D = 2(ad + bc) (Magnus & Winkler,
+    Hill's Equation, 1966, sec. 1.1).
+    """
     period = _require_period(v)
+    if v.even:
+        ms = transfer_matrices(v, energies, 0.0, 0.5 * period, rtol=rtol, atol=atol)
+        return 2.0 * (ms[:, 0, 0] * ms[:, 1, 1] + ms[:, 0, 1] * ms[:, 1, 0])
     ms = transfer_matrices(v, energies, 0.0, period, rtol=rtol, atol=atol)
     return ms[:, 0, 0] + ms[:, 1, 1]
 

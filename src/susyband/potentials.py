@@ -37,10 +37,17 @@ DEFAULT_SAMPLES_PER_PERIOD = 2048
 
 
 class Potential:
-    """Base interface.  Instances are immutable and safe to share across workers."""
+    """Base interface.  Instances are immutable and safe to share across workers.
+
+    ``even`` promises V(-x) == V(x) for every x.  It is a property of the
+    potential type, set to True only by a class whose every instance is
+    even; ``floquet.discriminants`` then integrates half a period.
+    """
 
     #: spatial period T > 0, or None for aperiodic specs
     period: float | None = None
+    #: V(-x) == V(x) for every instance of the class
+    even = False
 
     def __call__(self, x):
         raise NotImplementedError
@@ -56,6 +63,7 @@ class Potential:
 class LamePotential(Potential):
     """V(x) = n(n+1) m sn^2(x|m), period 2K(m), amplitude n(n+1)m."""
 
+    even = True
     n: int
     m: float
 
@@ -107,6 +115,7 @@ def lame(n: int, m: float) -> LamePotential:
 class ConstantPotential(Potential):
     """Flat potential; the period is nominal and only fixes the Floquet cell."""
 
+    even = True
     value: float = 0.0
     period: float = 1.0
 

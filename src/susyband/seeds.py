@@ -215,7 +215,7 @@ def _count_nodes(x, u, samples_per_period, evaluate):
     """
     local_scale = local_max(np.abs(u), samples_per_period)
     nodes = []
-    for i in np.nonzero(u[:-1] * u[1:] < 0.0)[0]:
+    for i in np.nonzero(np.sign(u[:-1]) * np.sign(u[1:]) < 0.0)[0]:
         nodes.append(brentq(lambda t: evaluate(t)[0], x[i], x[i + 1], xtol=1e-12))
     exact = np.nonzero(u[:-1] == 0.0)[0]
     nodes.extend(float(x[i]) for i in exact)
@@ -240,7 +240,7 @@ def _riccati_residual(x, u, up, v_values, epsilon, samples_per_period):
     local_scale = local_max(np.abs(u), samples_per_period)
     safe = np.abs(u) > 1e-3 * local_scale
     margin = max(BOUNDARY_CELLS + 1, samples_per_period // 16)
-    for i in np.nonzero((u[:-1] * u[1:] < 0.0) | (u[:-1] == 0.0))[0]:
+    for i in np.nonzero((np.sign(u[:-1]) * np.sign(u[1:]) < 0.0) | (u[:-1] == 0.0))[0]:
         safe[max(0, i - margin) : i + margin + 2] = False
     # a node just past the window edge would contaminate FD near the ends
     safe[:margin] = False

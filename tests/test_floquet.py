@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyband.elliptic import jacobi_sncndn
 from susyband.floquet import (
@@ -18,7 +20,7 @@ from susyband.floquet import (
     transfer_matrix,
     write_discriminant_csv,
 )
-from susyband.potentials import ConstantPotential, Potential, lame
+from susyband.potentials import ConstantPotential, Potential, ShiftedPotential, lame
 
 FREE = ConstantPotential(0.0, period=2.0)
 
@@ -221,6 +223,48 @@ def test_batched_matches_scalar():
         tm = transfer_matrix(v, e, 0.0, v.period)
         scale = max(1.0, float(np.max(np.abs(tm.matrix))))
         assert np.max(np.abs(ms[i] - tm.matrix)) / scale < 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    m=st.floats(0.05, 0.95),
+    shift=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    where=st.floats(0.0, 1.0),
+)
+def test_discriminant_invariant_under_shift(n, m, shift, where):
+    # the Lame potential takes the half-period path, its shifted copy (not
+    # even) the full period; D is the same for every shift
+    v = lame(n, m)
+    lo, hi = v.band_window
+    energy = lo + where * (hi - lo)
+    d = discriminants(v, [energy])[0]
+    d_shifted = discriminants(ShiftedPotential(v, shift * v.period), [energy])[0]
+    assert abs(d - d_shifted) <= 1e-8 * max(1.0, abs(d))
+
+
+def test_even_potential_integrates_half_period(monkeypatch):
+    from susyband import floquet
+
+    spans = []
+
+    def recording(v, energies, x0, x1, **kwargs):
+        spans.append((x0, x1))
+        return transfer_matrices(v, energies, x0, x1, **kwargs)
+
+    monkeypatch.setattr(floquet, "transfer_matrices", recording)
+    v = lame(3, 0.5)
+    shifted = ShiftedPotential(v, 0.3)
+    es = np.linspace(-0.5, 13.0, 7)
+    half = discriminants(v, es)
+    assert spans == [(0.0, 0.5 * v.period)]
+    full = discriminants(shifted, es)
+    assert spans[1:] == [(0.0, v.period)]
+    assert np.max(np.abs(half - full) / np.maximum(1.0, np.abs(full))) < 1e-9
+    # one value per energy, whichever entry point asks
+    for pot in (v, shifted):
+        for e in es[:3]:
+            assert discriminant(pot, e) == discriminants(pot, [e])[0]
 
 
 def test_classify_trichotomy():

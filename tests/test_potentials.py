@@ -7,6 +7,7 @@ from susyband.elliptic import complete_k
 from susyband.potentials import (
     ConstantPotential,
     LamePotential,
+    Potential,
     ShiftedPotential,
     TabulatedPotential,
     evaluate,
@@ -122,3 +123,25 @@ def test_json_round_trip():
 def test_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError):
         potential_from_dict({"kind": "mystery"})
+
+
+def test_even_flag_holds_where_set():
+    # floquet.discriminants integrates half a period when ``even`` is set,
+    # so every class that sets it must be even at every x, scalar or array
+    examples = {
+        LamePotential: [lame(1, 0.5), lame(2, 0.05), lame(3, 0.97)],
+        ConstantPotential: [ConstantPotential(-1.5, 2.0)],
+    }
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-40.0, 40.0, 257)
+    even_classes = [cls for cls in Potential.__subclasses__() if cls.even]
+    assert set(even_classes) == set(examples)
+    for cls in even_classes:
+        for v in examples[cls]:
+            assert np.array_equal(v(-xs), v(xs))
+            assert all(v(-float(x)) == v(float(x)) for x in xs[:32])
+    v = lame(2, 0.5)
+    tab = TabulatedPotential.from_function(v, 0.0, v.period, v.period, 64)
+    assert not tab.even
+    assert not ShiftedPotential(v, 0.0).even
+    assert not Potential.even

@@ -160,6 +160,17 @@ def test_window_overflow_names_its_cause():
     assert err.value.multiplier > 1.0
 
 
+def test_huge_amplitude_window_builds_without_overflow():
+    # at 200 periods the growing branch reaches about 1e199: the node and
+    # Riccati sign tests must compare signs, not form u[i] * u[i + 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grow, decay = bloch_seed(LAME1, -1.0, periods=200)
+    assert np.max(np.abs(grow.u)) > 1e154
+    assert grow.node_count == decay.node_count == 0
+    assert superpotential(grow).riccati_residual < RICCATI_GATE
+
+
 def test_superpotential_free_particle():
     free = ConstantPotential(0.0, period=2.0)
     seed = general_seed(free, -1.0, 0.5, 0.5)  # u = cosh
