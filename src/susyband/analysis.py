@@ -182,6 +182,15 @@ def invariance_test(
     """
     grow, decay = bloch_seed(v, epsilon, **seed_kwargs)
     period = float(v.period)
+    branch_g = grow.branches[0][1]
+    branch_d = decay.branches[0][1]
+
+    def product_residual(delta, samples=2048):
+        return min(
+            _product_variation(branch_g, branch_d, delta, period, samples),
+            _product_variation(branch_d, branch_g, delta, period, samples),
+        )
+
     try:
         result = susy1(v, grow)
         delta, residual_disp = displacement_fit(v, result.partner)
@@ -190,21 +199,10 @@ def invariance_test(
         # product itself so the criterion can still be evaluated
         residual_disp = math.inf
         deltas = np.linspace(0.0, period, 512, endpoint=False)
-        scores = [
-            min(
-                _product_variation(grow.branches[0][1], decay.branches[0][1], d, period, 512),
-                _product_variation(decay.branches[0][1], grow.branches[0][1], d, period, 512),
-            )
-            for d in deltas
-        ]
+        scores = [product_residual(d, 512) for d in deltas]
         delta = float(deltas[int(np.argmin(scores))])
 
-    branch_g = grow.branches[0][1]
-    branch_d = decay.branches[0][1]
-    residual_prod = min(
-        _product_variation(branch_g, branch_d, delta, period),
-        _product_variation(branch_d, branch_g, delta, period),
-    )
+    residual_prod = product_residual(delta)
     invariant = residual_disp < tol_displacement and residual_prod < tol_product
     return InvarianceReport(
         epsilon=float(epsilon),

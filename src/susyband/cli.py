@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -122,16 +123,20 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, doc: dict):
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _float_tree(obj):
+    """obj with numpy scalars as Python numbers and non-finite floats as None,
+    so that the JSON written from it is strict."""
     if isinstance(obj, dict):
         return {k: _float_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_float_tree(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

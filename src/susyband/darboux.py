@@ -78,7 +78,7 @@ class TransformResult:
     diagnostics: dict
 
 
-def _decay_rate(x, psi, period):
+def _decay_rate(psi, period, spp):
     """Fitted e-folding rate of |psi| toward the window ends.
 
     Uses per-period peak magnitudes (insensitive to the oscillation inside
@@ -86,8 +86,6 @@ def _decay_rate(x, psi, period):
     the defect peak can sit off-center and its subleading corrections decay
     slowly, so inner ratios are systematically biased toward zero.
     """
-    n = len(x) - 1
-    spp = int(round(n * period / (x[-1] - x[0])))
     peaks = np.maximum(cell_max(np.abs(psi), spp), 1e-300)
     cells = peaks.size
     c_star = int(np.argmax(peaks))
@@ -101,8 +99,9 @@ def _decay_rate(x, psi, period):
     return float(np.mean(rates)) / period
 
 
-def _kernel_state(x, psi_raw, epsilon, seed_exponents, denom_exponents, period):
-    """Normalize a kernel-state sample and settle its normalizability.
+def _kernel_state(seed, psi_raw, epsilon, seed_exponents, denom_exponents):
+    """Normalize a kernel-state sample on seed's window and settle its
+    normalizability.
 
     The flag follows the multiplier bookkeeping: psi~ = numerator / denominator
     decays at an end iff the denominator's dominant growth strictly exceeds
@@ -115,9 +114,9 @@ def _kernel_state(x, psi_raw, epsilon, seed_exponents, denom_exponents, period):
     rate_plus = den_plus - num_plus
     rate_minus = den_minus - num_minus
     normalizable = rate_plus > 1e-12 and rate_minus > 1e-12
-    h = x[1] - x[0]
+    h = seed.x[1] - seed.x[0]
     l2 = float(np.sqrt(np.sum(psi * psi) * h))
-    decay = _decay_rate(x, psi, period) if normalizable else None
+    decay = _decay_rate(psi, seed.period, seed.samples_per_period) if normalizable else None
     expected = 0.5 * (rate_plus + rate_minus) if normalizable else None
     return KernelState(
         epsilon=float(epsilon),
@@ -129,34 +128,44 @@ def _kernel_state(x, psi_raw, epsilon, seed_exponents, denom_exponents, period):
     )
 
 
-def _samples_per_period(seed: SeedSolution) -> int:
-    n = len(seed.x) - 1
-    return int(round(n * seed.period / (seed.x[-1] - seed.x[0])))
-
-
-def _one_period_values(branches, period, spp, fn):
-    """Evaluate fn(u_vec, up_vec, x) on a single-period grid [0, T]."""
-    xs = np.linspace(0.0, period, spp + 1)
-    us = []
-    ups = []
-    for coeff, branch in branches:
-        bu, bup = branch.evaluate(xs)
-        us.append(coeff * bu)
-        ups.append(coeff * bup)
-    u = np.sum(us, axis=0)
-    up = np.sum(ups, axis=0)
-    return xs, fn(u, up, xs)
-
-
-def _asymptotic_period_residual(x, values, period):
+def _asymptotic_period_residual(values, spp):
     """max |V~(x + T) - V~(x)| over the outermost period at each window end."""
-    n = len(x) - 1
-    spp = int(round(n * period / (x[-1] - x[0])))
-    if n < 3 * spp:
+    if values.size - 1 < 3 * spp:
         return math.nan
     left = np.max(np.abs(values[spp : 2 * spp] - values[:spp]))
     right = np.max(np.abs(values[-spp:] - values[-2 * spp : -spp]))
     return float(max(left, right))
+
+
+def _partner(seed, values, periodic, one_period, diagnostics):
+    """The partner potential as a table, for a transform sampled on seed's window.
+
+    ``one_period(xs, on_period)`` gives the partner on the one-period grid xs
+    from the seeds' (u, u') there, which ``on_period(s)`` supplies for each
+    seed s.  A periodic partner is that one-period table of the seeds
+    themselves.  Otherwise the partner is the window table ``values``, and
+    its tail beyond the window is the one-period partner of each seed's
+    dominant growing branch, to which the mixture converges pointwise at
+    +infinity (no displacement needed).  The asymptotic-period residual of
+    ``values`` and the closure or tail mismatches go into ``diagnostics``.
+    """
+    period = seed.period
+    spp = seed.samples_per_period
+    diagnostics["asymptotic_period_residual"] = _asymptotic_period_residual(values, spp)
+    xs = np.linspace(0.0, period, spp + 1)
+    if periodic:
+        vals = one_period(xs, lambda s: s.evaluate(xs))
+        diagnostics["periodic_closure_mismatch"] = float(abs(vals[-1] - vals[0]))
+        return TabulatedPotential(0.0, xs[1] - xs[0], vals, period)
+
+    def on_growing_branch(s):
+        return max(s.branches, key=lambda cb: cb[1].growth_rate)[1].evaluate(xs)
+
+    tail = TabulatedPotential(0.0, xs[1] - xs[0], one_period(xs, on_growing_branch), period)
+    x = seed.x
+    diagnostics["tail_mismatch_plus"] = float(np.max(np.abs(values[-spp:] - tail(x[-spp:]))))
+    diagnostics["tail_mismatch_minus"] = float(np.max(np.abs(values[:spp] - tail(x[:spp]))))
+    return TabulatedPotential(x[0], x[1] - x[0], values, period, tail=tail)
 
 
 def _check_riccati(seed: SeedSolution, gate: float):
@@ -190,13 +199,12 @@ def susy1(
 
     x = seed.x
     eps = seed.epsilon
-    period = seed.period
-    spp = _samples_per_period(seed)
     v_values = np.asarray(v(x), dtype=float)
     alpha = seed.u_prime / seed.u
     partner_values = 2.0 * eps - v_values + 2.0 * alpha * alpha
 
-    def partner_fn(u, up, xs):
+    def one_period(xs, on_period):
+        u, up = on_period(seed)
         a = up / u
         return 2.0 * eps - np.asarray(v(xs), dtype=float) + 2.0 * a * a
 
@@ -204,35 +212,9 @@ def susy1(
     diagnostics = {
         "min_abs_u": float(np.min(np.abs(seed.u))),
         "riccati_residual": seed.riccati_residual,
-        "asymptotic_period_residual": _asymptotic_period_residual(
-            x, partner_values, period
-        ),
     }
-    if periodic:
-        xs1, vals1 = _one_period_values(seed.branches, period, spp, partner_fn)
-        diagnostics["periodic_closure_mismatch"] = float(abs(vals1[-1] - vals1[0]))
-        partner = TabulatedPotential(0.0, xs1[1] - xs1[0], vals1, period)
-    else:
-        # tail from the growing Bloch branch alone: the mixture converges to
-        # it pointwise at +infinity (no displacement needed)
-        grow = max(seed.branches, key=lambda cb: cb[1].growth_rate)
-        xs1, vals1 = _one_period_values([(1.0, grow[1])], period, spp, partner_fn)
-        tail = TabulatedPotential(0.0, xs1[1] - xs1[0], vals1, period)
-        diagnostics["tail_mismatch_plus"] = float(
-            np.max(np.abs(partner_values[-spp:] - tail(x[-spp:])))
-        )
-        diagnostics["tail_mismatch_minus"] = float(
-            np.max(np.abs(partner_values[:spp] - tail(x[:spp])))
-        )
-        partner = TabulatedPotential(
-            x[0], x[1] - x[0], partner_values, period, tail=tail
-        )
-
-    psi_raw = 1.0 / seed.u
-    denom_exponents = seed.growth_exponents
-    kernel = _kernel_state(
-        x, psi_raw, eps, (0.0, 0.0), denom_exponents, period
-    )
+    partner = _partner(seed, partner_values, periodic, one_period, diagnostics)
+    kernel = _kernel_state(seed, 1.0 / seed.u, eps, (0.0, 0.0), seed.growth_exponents)
     return TransformResult(
         order=1,
         initial=v,
@@ -249,32 +231,11 @@ def susy1(
     )
 
 
-def _wronskian_parts(s1: SeedSolution, s2: SeedSolution):
-    w = s1.u * s2.u_prime - s1.u_prime * s2.u
-    wp = (s1.epsilon - s2.epsilon) * s1.u * s2.u
-    return w, wp
-
-
-def _wronskian_exponents(s1: SeedSolution, s2: SeedSolution):
-    """Dominant growth of W toward each end, from the branch bookkeeping.
-
-    W is bilinear in the branches; the cross Wronskians of two branches at
-    different rates all grow like the product of the branch growths, so the
-    dominant exponent at an end is the max over contributing pairs of the
-    sum of branch exponents there.
-    """
-    plus = -math.inf
-    minus = -math.inf
-    for c1, b1 in s1.branches:
-        if c1 == 0.0:
-            continue
-        for c2, b2 in s2.branches:
-            if c2 == 0.0:
-                continue
-            total = b1.growth_rate + b2.growth_rate
-            plus = max(plus, total)
-            minus = max(minus, -total)
-    return plus, minus
+def _wronskian(u1, up1, u2, up2, de):
+    """W = u1 u2' - u1' u2 and beta' = -(W'/W)' with W' = de u1 u2, de = eps1 - eps2."""
+    w = u1 * up2 - up1 * u2
+    cross = up1 * u2 + u1 * up2
+    return w, -de * (cross * w - de * (u1 * u2) ** 2) / (w * w)
 
 
 def susy2(
@@ -303,10 +264,10 @@ def susy2(
     _check_riccati(seed2, riccati_gate)
 
     x = seed1.x
-    period = seed1.period
-    spp = _samples_per_period(seed1)
+    spp = seed1.samples_per_period
     de = seed1.epsilon - seed2.epsilon
-    w, wp = _wronskian_parts(seed1, seed2)
+    w, beta_prime = _wronskian(seed1.u, seed1.u_prime, seed2.u, seed2.u_prime, de)
+    wp = de * seed1.u * seed2.u
 
     # zero-freeness against a per-period local scale
     local = local_max(np.abs(w), spp)
@@ -319,32 +280,10 @@ def susy2(
 
     v_values = np.asarray(v(x), dtype=float)
     beta = -wp / w
-    cross = seed1.u_prime * seed2.u + seed1.u * seed2.u_prime
-    beta_prime = -de * (cross * w - de * (seed1.u * seed2.u) ** 2) / (w * w)
     partner_values = v_values + 2.0 * beta_prime
     gamma = 0.5 * beta * beta - 0.5 * beta_prime - v_values + 0.5 * (
         seed1.epsilon + seed2.epsilon
     )
-
-    periodic = seed1.kind != KIND_GENERAL and seed2.kind != KIND_GENERAL
-
-    def partner_from_branches(branches1, branches2, xs):
-        u1s = np.zeros_like(xs)
-        up1s = np.zeros_like(xs)
-        u2s = np.zeros_like(xs)
-        up2s = np.zeros_like(xs)
-        for c, b in branches1:
-            bu, bup = b.evaluate(xs)
-            u1s += c * bu
-            up1s += c * bup
-        for c, b in branches2:
-            bu, bup = b.evaluate(xs)
-            u2s += c * bu
-            up2s += c * bup
-        ws = u1s * up2s - up1s * u2s
-        crosses = up1s * u2s + u1s * up2s
-        bps = -de * (crosses * ws - de * (u1s * u2s) ** 2) / (ws * ws)
-        return np.asarray(v(xs), dtype=float) + 2.0 * bps
 
     # independent-route diagnostics
     h = x[1] - x[0]
@@ -366,39 +305,23 @@ def susy2(
         "min_abs_w": float(np.min(np.abs(w) / local)),
         "wprime_identity_residual": wprime_identity,
         "beta_consistency_residual": beta_consistency,
-        "asymptotic_period_residual": _asymptotic_period_residual(
-            x, partner_values, period
-        ),
     }
 
-    xs1 = np.linspace(0.0, period, spp + 1)
-    if periodic:
-        vals1 = partner_from_branches(seed1.branches, seed2.branches, xs1)
-        diagnostics["periodic_closure_mismatch"] = float(abs(vals1[-1] - vals1[0]))
-        partner = TabulatedPotential(0.0, xs1[1] - xs1[0], vals1, period)
-    else:
-        grow1 = max(seed1.branches, key=lambda cb: cb[1].growth_rate)
-        grow2 = max(seed2.branches, key=lambda cb: cb[1].growth_rate)
-        vals1 = partner_from_branches([(1.0, grow1[1])], [(1.0, grow2[1])], xs1)
-        tail = TabulatedPotential(0.0, xs1[1] - xs1[0], vals1, period)
-        diagnostics["tail_mismatch_plus"] = float(
-            np.max(np.abs(partner_values[-spp:] - tail(x[-spp:])))
-        )
-        diagnostics["tail_mismatch_minus"] = float(
-            np.max(np.abs(partner_values[:spp] - tail(x[:spp])))
-        )
-        partner = TabulatedPotential(
-            x[0], x[1] - x[0], partner_values, period, tail=tail
-        )
+    def one_period(xs, on_period):
+        _, bp = _wronskian(*on_period(seed1), *on_period(seed2), de)
+        return np.asarray(v(xs), dtype=float) + 2.0 * bp
 
-    w_exponents = _wronskian_exponents(seed1, seed2)
+    periodic = seed1.kind != KIND_GENERAL and seed2.kind != KIND_GENERAL
+    partner = _partner(seed1, partner_values, periodic, one_period, diagnostics)
+
+    # W is bilinear in the branches, so its dominant growth toward each end
+    # is the sum of the seeds' dominant growths there
+    w_exponents = tuple(
+        a + b for a, b in zip(seed1.growth_exponents, seed2.growth_exponents)
+    )
     kernel = (
-        _kernel_state(
-            x, seed2.u / w, seed1.epsilon, seed2.growth_exponents, w_exponents, period
-        ),
-        _kernel_state(
-            x, seed1.u / w, seed2.epsilon, seed1.growth_exponents, w_exponents, period
-        ),
+        _kernel_state(seed1, seed2.u / w, seed1.epsilon, seed2.growth_exponents, w_exponents),
+        _kernel_state(seed1, seed1.u / w, seed2.epsilon, seed1.growth_exponents, w_exponents),
     )
     return TransformResult(
         order=2,

@@ -5,12 +5,13 @@ is integrated with an embedded Dormand-Prince 5(4) pair.  The two
 canonical columns (1,0) and (0,1) propagate together, so the result of one
 pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
 ride along in one adaptive integration since V(x) is shared between them,
-which is what makes dense discriminant sweeps cheap.  A sampled propagation
-at one energy instead steps every cell between its breakpoints at once,
-with one vector call of V per pass, and halves the cells that fail the
-error test.  Both paths take their steps through ``_dp5_step``: the
-tableau exists once, as the arrays _A, _B, _E and _C, and each stage is
-one weighted sum over a preallocated stage buffer.
+which is what makes dense discriminant sweeps cheap.  That loop,
+``_advance``, serves energy batches only: one energy is a batch of one.
+A sampled propagation at one energy instead steps every cell between its
+breakpoints at once, with one vector call of V per pass, and halves the
+cells that fail the error test.  Both paths take their steps through
+``_dp5_step``: the tableau exists once, as the arrays _A, _B, _E and _C,
+and each stage is one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -100,10 +101,12 @@ def _dp5_step(k, vs, e, y, h):
 
 
 def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
-    """Adaptive DP5(4) advance of y from x0 to x1 (either direction).
+    """Adaptive DP5(4) advance of an energy batch y from x0 to x1 (either
+    direction), behind ``transfer_matrices``.
 
-    `v` is a scalar-in scalar-out callable; `e` broadcasts against the
-    trailing shape of y.
+    `v` is a scalar-in scalar-out callable, called once per stage abscissa
+    for the whole batch; `e` broadcasts against the trailing (energy) axis
+    of y.
     """
     span = x1 - x0
     if span == 0.0:
@@ -256,12 +259,11 @@ def propagate(
     """
     if not x1 > x0:
         raise ValueError("propagation interval must satisfy x0 < x1")
-    y0 = np.eye(2)
     if samples is None:
-        y = _advance(v, float(energy), x0, x1, y0, rtol, atol)
+        y = transfer_matrices(v, [energy], x0, x1, rtol=rtol, atol=atol)[0]
         return TransferMatrix(y, x0, x1, float(energy)), None
     xs = np.linspace(x0, x1, samples + 1)
-    trace = _advance_sampled(v, float(energy), xs, y0, rtol, atol)
+    trace = _advance_sampled(v, float(energy), xs, np.eye(2), rtol, atol)
     return TransferMatrix(trace[-1], x0, x1, float(energy)), trace
 
 

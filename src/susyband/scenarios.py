@@ -25,6 +25,7 @@ from .seeds import (
     bloch_seed,
     general_seed,
     nodeless_mixing,
+    window_grid,
 )
 
 __all__ = ["Scenario", "ScenarioRun", "SCENARIOS", "run_scenario", "band_structure_for"]
@@ -116,18 +117,16 @@ def _wronskian_score(w, spp):
     return np.where((top == 0.0).any(axis=-1), 0.0, score)
 
 
-def _best_bloch_pair(v, e1, e2, periods, samples_per_period, rtol, atol):
+def _best_bloch_pair(v, e1, e2, **seed_kwargs):
     """Pick the (branch at e1, branch at e2) pairing with the safest Wronskian."""
-    pair1 = bloch_seed(v, e1, periods=periods, samples_per_period=samples_per_period,
-                       rtol=rtol, atol=atol)
-    pair2 = bloch_seed(v, e2, periods=periods, samples_per_period=samples_per_period,
-                       rtol=rtol, atol=atol)
+    pair1 = bloch_seed(v, e1, **seed_kwargs)
+    pair2 = bloch_seed(v, e2, **seed_kwargs)
     best = None
     best_score = -1.0
     for s1 in pair1:
         for s2 in pair2:
             w = s1.u * s2.u_prime - s1.u_prime * s2.u
-            score = float(_wronskian_score(w, samples_per_period))
+            score = float(_wronskian_score(w, s1.samples_per_period))
             # on an even potential the two cross pairings are mirror images
             # and tie up to rounding: a later pair must win by more than that
             if score > best_score * (1.0 + 1e-9):
@@ -148,20 +147,18 @@ def _mixing_angles(n_per_band: int = 24):
     return np.concatenate([band, np.pi - band[::-1]])
 
 
-def _best_general_pair(v, e1, e2, periods, samples_per_period, rtol, atol):
+def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol, atol):
     """Deterministic mixing search for a zero-free Wronskian with all four
     branch coefficients active (so both kernel states are normalizable).
 
     The Wronskian is bilinear in the branches, so the four basis Wronskians
-    are evaluated once on a coarse grid and the (theta1, theta2) scan is
-    pure arithmetic.
+    are evaluated once on the seeds' window at a coarse sampling and the
+    (theta1, theta2) scan is pure arithmetic.
     """
     spp_coarse = 256
     g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp_coarse, rtol=rtol, atol=atol)
     g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp_coarse, rtol=rtol, atol=atol)
-    half = periods // 2
-    period = float(v.period)
-    x = np.linspace(-half * period, half * period, periods * spp_coarse + 1)
+    x = window_grid(float(v.period), periods, spp_coarse)
     basis = []
     for b1 in (g1, d1):
         u1, up1 = b1.evaluate(x)
@@ -226,18 +223,14 @@ def run_scenario(
         if sc.order == 1:
             chosen = [bloch_seed(v, sc.energies[0], **kwargs)[0]]
         else:
-            chosen = list(
-                _best_bloch_pair(v, *sc.energies, periods, samples_per_period, rtol, atol)
-            )
+            chosen = list(_best_bloch_pair(v, *sc.energies, **kwargs))
     else:
         if sc.order == 1:
             eps = sc.energies[0]
             mix = nodeless_mixing(v, eps, periods=periods, rtol=rtol, atol=atol)
             chosen = [general_seed(v, eps, *mix, **kwargs)]
         else:
-            chosen = list(
-                _best_general_pair(v, *sc.energies, periods, samples_per_period, rtol, atol)
-            )
+            chosen = list(_best_general_pair(v, *sc.energies, **kwargs))
 
     if sc.order == 1:
         result = susy1(v, chosen[0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -35,6 +36,7 @@ __all__ = [
     "node_scan",
     "nodeless_mixing",
     "superpotential",
+    "window_grid",
     "write_seed_csv",
 ]
 
@@ -82,15 +84,31 @@ class BlochBranch:
         return math.log(abs(self.multiplier)) / self.period
 
 
+def _mix(branches, x):
+    """(u, u') at x of the mixture sum(c * branch) over (c, branch) pairs;
+    branches with c == 0 are skipped."""
+    u = 0.0
+    up = 0.0
+    for coeff, branch in branches:
+        if coeff == 0.0:
+            continue
+        bu, bup = branch.evaluate(x)
+        u = u + coeff * bu
+        up = up + coeff * bup
+    return u, up
+
+
 @dataclass(frozen=True)
 class SeedSolution:
-    """A sampled transformation function over the working window."""
+    """A sampled transformation function over the working window, the grid
+    ``window_grid(period, periods, samples_per_period)``."""
 
     epsilon: float
     kind: str
     multiplier: float | None
     coefficients: tuple[float, float] | None
     period: float
+    samples_per_period: int
     window: tuple[float, float]
     x: np.ndarray
     u: np.ndarray
@@ -103,28 +121,13 @@ class SeedSolution:
 
     def evaluate(self, x):
         """(u, u') at arbitrary x via the multiplier-extended branches."""
-        u = 0.0
-        up = 0.0
-        for coeff, branch in self.branches:
-            if coeff == 0.0:
-                continue
-            bu, bup = branch.evaluate(x)
-            u = u + coeff * bu
-            up = up + coeff * bup
-        return u, up
+        return _mix(self.branches, x)
 
     @property
     def growth_exponents(self) -> tuple[float, float]:
         """Dominant per-unit log growth rates toward (+inf, -inf)."""
-        plus = -math.inf
-        minus = -math.inf
-        for coeff, branch in self.branches:
-            if coeff == 0.0:
-                continue
-            rate = branch.growth_rate
-            plus = max(plus, rate)
-            minus = max(minus, -rate)
-        return plus, minus
+        rates = [b.growth_rate for c, b in self.branches if c != 0.0]
+        return max(rates, default=-math.inf), max((-r for r in rates), default=-math.inf)
 
     @property
     def grows_both_ways(self) -> bool:
@@ -151,11 +154,15 @@ def _eigenvector(b: np.ndarray, beta: float) -> np.ndarray:
     return np.array([0.0, 1.0])
 
 
-def _window_grid(period: float, periods: int, samples_per_period: int):
-    half = periods // 2
-    lo = -half * period
-    n = periods * samples_per_period
-    return np.linspace(lo, lo + periods * period, n + 1), (lo, lo + periods * period)
+def window_grid(period: float, periods: int, samples_per_period: int) -> np.ndarray:
+    """The working window: periods // 2 periods left of x = 0 and the rest to
+    the right, samples_per_period uniform cells per period, both ends included.
+
+    Every seed is sampled on it, and the scenario mixing search scores its
+    candidates on it.
+    """
+    lo = -(periods // 2) * period
+    return np.linspace(lo, lo + periods * period, periods * samples_per_period + 1)
 
 
 def bloch_branches(
@@ -266,30 +273,13 @@ def _assemble(
     periods, samples_per_period,
 ):
     period = float(v.period)
-    x, window = _window_grid(period, periods, samples_per_period)
-    u = np.zeros_like(x)
-    up = np.zeros_like(x)
+    x = window_grid(period, periods, samples_per_period)
     with np.errstate(over="ignore", invalid="ignore"):
-        for coeff, branch in branches:
-            if coeff == 0.0:
-                continue
-            bu, bup = branch.evaluate(x)
-            u += coeff * bu
-            up += coeff * bup
+        u, up = _mix(branches, x)
     if not (np.isfinite(u).all() and np.isfinite(up).all()):
         beta = max((b.multiplier for c, b in branches if c != 0.0), key=abs)
         raise WindowOverflowError(periods, beta)
-
-    def eval_u(t):
-        total_u = 0.0
-        total_up = 0.0
-        for coeff, branch in branches:
-            if coeff == 0.0:
-                continue
-            bu, bup = branch.evaluate(t)
-            total_u += coeff * bu
-            total_up += coeff * bup
-        return total_u, total_up
+    eval_u = partial(_mix, branches)
 
     if kind == KIND_GENERAL:
         nodes, grazing = _count_nodes(x, u, samples_per_period, eval_u)
@@ -314,7 +304,8 @@ def _assemble(
         multiplier=multiplier,
         coefficients=coefficients,
         period=period,
-        window=window,
+        samples_per_period=samples_per_period,
+        window=(float(x[0]), float(x[-1])),
         x=x,
         u=u,
         u_prime=up,
@@ -345,21 +336,17 @@ def bloch_seed(
         v, epsilon, samples_per_period=samples_per_period,
         edge_tol=edge_tol, rtol=rtol, atol=atol,
     )
-    if grow is decay:
-        seed = _assemble(
-            v, epsilon, KIND_BLOCH_EDGE, grow.multiplier, None,
-            [(1.0, grow)], periods, samples_per_period,
+
+    def assemble(branch, kind):
+        return _assemble(
+            v, epsilon, kind, branch.multiplier, None,
+            [(1.0, branch)], periods, samples_per_period,
         )
+
+    if grow is decay:
+        seed = assemble(grow, KIND_BLOCH_EDGE)
         return seed, seed
-    s_grow = _assemble(
-        v, epsilon, KIND_BLOCH_GAP, grow.multiplier, None,
-        [(1.0, grow)], periods, samples_per_period,
-    )
-    s_decay = _assemble(
-        v, epsilon, KIND_BLOCH_GAP, decay.multiplier, None,
-        [(1.0, decay)], periods, samples_per_period,
-    )
-    return s_grow, s_decay
+    return assemble(grow, KIND_BLOCH_GAP), assemble(decay, KIND_BLOCH_GAP)
 
 
 def general_seed(
@@ -414,7 +401,7 @@ def node_scan(
     )
     if grow is decay:
         raise BandEnergyError("node scan is undefined at a band edge")
-    x, _ = _window_grid(float(v.period), periods, samples_per_period)
+    x = window_grid(float(v.period), periods, samples_per_period)
     u_grow, _ = grow.evaluate(x)
     u_decay, _ = decay.evaluate(x)
     thetas = np.arange(scan_resolution) * (math.pi / scan_resolution)

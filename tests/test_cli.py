@@ -168,3 +168,26 @@ def test_window_overflow_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUSYBAND_PERIODS", "400")
     assert run(["transform", "--scenario", "fig2a", "--out", str(tmp_path)]) == 3
     assert "overflow" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name} holds the non-standard constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_invariance_json_is_strict(tmp_path):
+    # no displacement fits the n = 2 partner: the residual is infinite
+    assert run(["invariance", "--lame-n", "2", "--epsilon", "1.6", "--out", str(tmp_path)]) == 0
+    doc = _strict_json(tmp_path / "invariance.json")
+    assert doc["residual_displacement"] is None
+    assert doc["verdict"] == "not_invariant"
+
+
+def test_transform_json_is_strict(tmp_path, monkeypatch):
+    # two periods are too few for the asymptotic period residual: NaN
+    monkeypatch.setenv("SUSYBAND_PERIODS", "2")
+    assert run(["transform", "--scenario", "fig3a", "--out", str(tmp_path)]) == 0
+    doc = _strict_json(tmp_path / "diagnostics.json")
+    assert doc["asymptotic_period_residual"] is None

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susyband.darboux import (
     apply_intertwiner,
@@ -17,6 +19,7 @@ from susyband.errors import (
     SeedConsistencyError,
     SingularTransformError,
 )
+from susyband.floquet import discriminants
 from susyband.numdiff import derivative
 from susyband.potentials import ConstantPotential, lame
 from susyband.seeds import bloch_seed, general_seed
@@ -203,3 +206,50 @@ def test_partner_tail_evaluation(scenario_cache):
     period = run.potential.period
     far = partner.x_hi + 10 * period
     assert partner(far) == pytest.approx(partner.tail(far), abs=1e-12)
+
+
+def _brute_force_expected_rates(s1, s2):
+    """expected_decay_rate of both order-2 kernel states from the dominant
+    growth of W over every pair of active branches, one pair at a time."""
+    def rates(seed):
+        return [b.growth_rate for c, b in seed.branches if c != 0.0]
+
+    pairs = [r1 + r2 for r1 in rates(s1) for r2 in rates(s2)]
+    w_plus, w_minus = max(pairs), max(-p for p in pairs)
+    out = []
+    for numerator in (s2, s1):  # psi_1 ~ u2 / W, psi_2 ~ u1 / W
+        r = rates(numerator)
+        plus = w_plus - max(r)
+        minus = w_minus - max(-x for x in r)
+        out.append(0.5 * (plus + minus) if plus > 1e-12 and minus > 1e-12 else None)
+    return out
+
+
+@pytest.mark.parametrize("name", ["fig3c", "fig3d", "bloch_general"])
+def test_kernel_expected_rate_is_max_over_branch_pairs(scenario_cache, name):
+    if name == "bloch_general":
+        seeds = (bloch_seed(LAME1, -1.0)[0], general_seed(LAME1, 0.0, 0.6, 0.8))
+        result = susy2(LAME1, *seeds)
+    else:
+        result = scenario_cache(name).result
+    expected = [k.expected_decay_rate for k in result.kernel]
+    assert expected == _brute_force_expected_rates(*result.seeds)
+    assert any(rate is not None for rate in expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    m=st.floats(0.05, 0.95),
+    epsilon=st.floats(-2.0, -0.1),
+)
+def test_bloch_partner_keeps_discriminant(n, m, epsilon):
+    # V >= 0, so epsilon < 0 lies below the spectrum; the growing Bloch seed
+    # there is nodeless and its partner is isospectral.  Criterion 8's 1e-5
+    # holds where |D| <= 2; below the spectrum and in the gaps |D| reaches
+    # 1e7, so the bound scales with max(1, |D|).
+    v = lame(n, m)
+    partner = susy1(v, bloch_seed(v, epsilon)[0]).partner
+    energies = np.linspace(*v.band_window, 16)
+    d = discriminants(v, energies)
+    assert np.all(np.abs(discriminants(partner, energies) - d) <= 1e-5 * np.maximum(1.0, np.abs(d)))

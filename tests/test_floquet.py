@@ -215,6 +215,16 @@ def test_sampled_propagation_pole_raises():
             assert err.value.x == pytest.approx(where, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "v", [lame(1, 0.5), lame(2, 0.3), lame(3, 0.9), ConstantPotential(1.5, period=2.0)]
+)
+def test_transfer_matrix_is_a_batch_of_one(v):
+    for e in (-0.7, 0.4, 2.3, 9.0):
+        batch = transfer_matrices(v, [e], 0.0, v.period)[0]
+        assert np.array_equal(transfer_matrix(v, e, 0.0, v.period).matrix, batch)
+        assert np.array_equal(propagate(v, e, 0.0, v.period)[0].matrix, batch)
+
+
 def test_batched_matches_scalar():
     v = lame(2, 0.5)
     es = np.array([-0.5, 1.3, 4.2])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from susyband.scenarios import SCENARIOS, _mixing_angles, run_scenario
-from susyband.seeds import bloch_branches
+from susyband.seeds import bloch_branches, window_grid
 
 
 def test_registry_names():
@@ -57,11 +57,11 @@ def test_scenario_deterministic(scenario_cache):
 
 
 def _reference_general_mixing(v, e1, e2, periods=16, spp=256):
-    """The mixing search as one Python loop over both angles and all cells."""
+    """The mixing search as one Python loop over both angles and all cells,
+    scored on the seeds' window."""
     g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp)
     g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp)
-    half = periods // 2
-    x = np.linspace(-half * v.period, half * v.period, periods * spp + 1)
+    x = window_grid(v.period, periods, spp)
     basis = []
     for b1 in (g1, d1):
         u1, up1 = b1.evaluate(x)
@@ -98,6 +98,14 @@ def _reference_general_mixing(v, e1, e2, periods=16, spp=256):
 def test_general_pair_matches_reference_loop(scenario_cache, name):
     run = scenario_cache(name)
     c1, c2 = _reference_general_mixing(run.potential, *run.scenario.energies)
+    assert run.seeds[0].coefficients == c1
+    assert run.seeds[1].coefficients == c2
+
+
+def test_general_pair_scores_the_seed_window_for_odd_periods():
+    # 15 periods: the window is [-7T, 8T], not [-7T, 7T]
+    run = run_scenario("fig3d", periods=15)
+    c1, c2 = _reference_general_mixing(run.potential, *run.scenario.energies, periods=15)
     assert run.seeds[0].coefficients == c1
     assert run.seeds[1].coefficients == c2
 

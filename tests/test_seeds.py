@@ -16,6 +16,7 @@ from susyband.seeds import (
     node_scan,
     nodeless_mixing,
     superpotential,
+    window_grid,
     write_seed_csv,
 )
 
@@ -214,3 +215,19 @@ def test_seed_csv_format():
     assert len(lines) == len(seed.x) + 1
     cells = lines[1].split(",")
     assert len(cells) == 4
+
+
+@pytest.mark.parametrize("periods", [15, 16])
+def test_seeds_sampled_on_window_grid(periods):
+    period = LAME1.period
+    x = window_grid(period, periods, 64)
+    # periods // 2 periods left of x = 0, the rest (the odd one) to the right
+    assert x[0] == -(periods // 2) * period
+    assert x[-1] == pytest.approx(x[0] + periods * period, abs=1e-12)
+    assert x.size == periods * 64 + 1
+    grow, _ = bloch_seed(LAME1, -1.0, periods=periods, samples_per_period=64)
+    mix = general_seed(LAME1, 0.0, 0.6, 0.8, periods=periods, samples_per_period=64)
+    for seed in (grow, mix):
+        assert np.array_equal(seed.x, x)
+        assert seed.window == (x[0], x[-1])
+        assert seed.samples_per_period == 64
