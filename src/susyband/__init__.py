@@ -22,7 +22,6 @@ from .darboux import (
     TransformResult,
     apply_intertwiner,
     factorization_residual,
-    kernel_states,
     susy1,
     susy2,
 )
@@ -56,7 +55,6 @@ from .potentials import (
     Potential,
     ShiftedPotential,
     TabulatedPotential,
-    evaluate,
     lame,
     potential_from_dict,
     potential_from_json,

@@ -20,7 +20,6 @@ from .errors import (
     PeriodMismatchError,
     SingularTransformError,
 )
-from .floquet import DEFAULT_ATOL, DEFAULT_RTOL
 from .potentials import Potential
 from .seeds import bloch_seed
 
@@ -35,6 +34,15 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: displacement_fit: coarse offsets per period, samples per period, golden-section steps
+_FIT_OFFSETS = 1024
+_FIT_SAMPLES = 2048
+_FIT_ITERS = 60
+#: bound on both invariance residuals (displacement and product variation)
+_INVARIANCE_TOL = 1e-4
+#: shooting: integrator rtol, and k-section sweeps after the first scan
+_SHOOTING_RTOL = 1e-9
+_SHOOTING_SWEEPS = 7
 
 
 def _matched_period(v: Potential, w: Potential) -> float:
@@ -47,14 +55,7 @@ def _matched_period(v: Potential, w: Potential) -> float:
     return float(v.period)
 
 
-def compare_band_structure(
-    v: Potential,
-    w: Potential,
-    e_grid,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> float:
+def compare_band_structure(v: Potential, w: Potential, e_grid) -> float:
     """max over the energy grid of |D_v(E) - D_w(E)|.
 
     Equal discriminants mean equal band structure, so this single number
@@ -62,8 +63,8 @@ def compare_band_structure(
     """
     _matched_period(v, w)
     e_grid = np.asarray(e_grid, dtype=float)
-    dv = floquet.discriminants(v, e_grid, rtol=rtol, atol=atol)
-    dw = floquet.discriminants(w, e_grid, rtol=rtol, atol=atol)
+    dv = floquet.discriminants(v, e_grid)
+    dw = floquet.discriminants(w, e_grid)
     return float(np.max(np.abs(dv - dw)))
 
 
@@ -71,36 +72,29 @@ def _linf_mismatch(v, w_values, xs, delta):
     return float(np.max(np.abs(np.asarray(v(xs + delta), dtype=float) - w_values)))
 
 
-def displacement_fit(
-    v: Potential,
-    w: Potential,
-    *,
-    offsets: int = 1024,
-    samples: int = 2048,
-    refine_iters: int = 60,
-) -> tuple[float, float]:
+def displacement_fit(v: Potential, w: Potential) -> tuple[float, float]:
     """delta in [0, T) minimizing the L-infinity distance |w(x) - v(x + delta)|.
 
-    Coarse scan over `offsets` shifts, then golden-section refinement around
+    Coarse scan over _FIT_OFFSETS shifts, then golden-section refinement around
     the best one.  The max-norm (rather than L2) keeps localized defects
     visible instead of averaging them away.
     """
     period = _matched_period(v, w)
-    xs = np.linspace(0.0, period, samples, endpoint=False)
+    xs = np.linspace(0.0, period, _FIT_SAMPLES, endpoint=False)
     w_values = np.asarray(w(xs), dtype=float)
-    deltas = np.linspace(0.0, period, offsets, endpoint=False)
+    deltas = np.linspace(0.0, period, _FIT_OFFSETS, endpoint=False)
     # vectorized coarse scan: one big evaluation of v on the shifted grid
     grid = xs[None, :] + deltas[:, None]
     errs = np.max(np.abs(np.asarray(v(grid), dtype=float) - w_values[None, :]), axis=1)
     best = int(np.argmin(errs))
-    step = period / offsets
+    step = period / _FIT_OFFSETS
     a = deltas[best] - step
     b = deltas[best] + step
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     f_c = _linf_mismatch(v, w_values, xs, c)
     f_d = _linf_mismatch(v, w_values, xs, d)
-    for _ in range(refine_iters):
+    for _ in range(_FIT_ITERS):
         if f_c <= f_d:
             b, d, f_d = d, c, f_c
             c = b - _GOLDEN * (b - a)
@@ -160,14 +154,7 @@ def _product_variation(grow, decay, delta, period, samples=2048):
     return float((np.max(product) - np.min(product)) / scale)
 
 
-def invariance_test(
-    v: Potential,
-    epsilon: float,
-    *,
-    tol_displacement: float = 1e-4,
-    tol_product: float = 1e-4,
-    **seed_kwargs,
-) -> InvarianceReport:
+def invariance_test(v: Potential, epsilon: float, **seed_kwargs) -> InvarianceReport:
     """Test whether the first-order transform at epsilon is a displaced copy.
 
     Builds the Bloch pair at epsilon, transforms with the growing one, fits
@@ -203,7 +190,7 @@ def invariance_test(
         delta = float(deltas[int(np.argmin(scores))])
 
     residual_prod = product_residual(delta)
-    invariant = residual_disp < tol_displacement and residual_prod < tol_product
+    invariant = residual_disp < _INVARIANCE_TOL and residual_prod < _INVARIANCE_TOL
     return InvarianceReport(
         epsilon=float(epsilon),
         delta=float(delta),
@@ -276,10 +263,6 @@ def shooting_eigenvalue(
     *,
     x_lo: float,
     x_hi: float,
-    match: float = 0.0,
-    iters: int = 48,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
 ) -> float | None:
     """Bound-state eigenvalue of -psi'' + w psi = E psi in [e_lo, e_hi].
 
@@ -287,23 +270,24 @@ def shooting_eigenvalue(
     from the outermost period of the window itself (the far field is
     periodic there, and each end may converge to a differently displaced
     copy), and brackets a sign change of the normalized Wronskian mismatch
-    at the matching point.  Every step evaluates the mismatch for a whole
-    batch of energies at once: a first sweep over floquet.SECTIONS + 1
-    points across [e_lo, e_hi] picks the first sign change, and k-section
-    sweeps narrow it to 1e-10, or by at most ``iters`` halvings.  Returns
-    None when no sign change brackets an eigenvalue.
+    at x = 0, which every window contains.  Every step evaluates the
+    mismatch for a whole batch of energies at once: a first sweep over
+    floquet.SECTIONS + 1 points across [e_lo, e_hi] picks the first sign
+    change, and _SHOOTING_SWEEPS k-section sweeps narrow it to 1e-10, or by
+    at most 48 halvings.  Returns None when no sign change brackets an
+    eigenvalue.
     """
     period = float(w.period)
 
     def matrices(e, x0, x1):
-        return floquet.transfer_matrices(w, e, x0, x1, rtol=rtol, atol=atol)
+        return floquet.transfer_matrices(w, e, x0, x1, rtol=_SHOOTING_RTOL)
 
     def mismatch(es: np.ndarray) -> np.ndarray:
         e = es.ravel()
         y_l = _decaying_initial(matrices(e, x_lo, x_lo + period), e, "minus")
         y_r = _decaying_initial(matrices(e, x_hi - period, x_hi), e, "plus")
-        left = np.einsum("nij,nj->ni", matrices(e, x_lo, match), y_l)
-        right = np.einsum("nij,nj->ni", matrices(e, x_hi, match), y_r)
+        left = np.einsum("nij,nj->ni", matrices(e, x_lo, 0.0), y_l)
+        right = np.einsum("nij,nj->ni", matrices(e, x_hi, 0.0), y_r)
         wronskian = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
         scale = np.sqrt(np.sum(left**2, axis=1) * np.sum(right**2, axis=1))
         return (wronskian / scale).reshape(es.shape)
@@ -314,9 +298,8 @@ def shooting_eigenvalue(
     if changes.size == 0:
         return None
     i = int(changes[0])
-    # the scan above was the first of ceil(iters / 6) sweeps
     found = floquet.ksection(
         mismatch, es[i : i + 1], es[i + 1 : i + 2], signs[i : i + 1],
-        sweeps=math.ceil(iters / math.log2(floquet.SECTIONS)) - 1, width=1e-10,
+        sweeps=_SHOOTING_SWEEPS, width=1e-10,
     )
     return float(found[0])

@@ -41,7 +41,6 @@ __all__ = [
     "TransformResult",
     "susy1",
     "susy2",
-    "kernel_states",
     "factorization_residual",
     "apply_intertwiner",
     "write_transform_csv",
@@ -168,20 +167,15 @@ def _partner(seed, values, periodic, one_period, diagnostics):
     return TabulatedPotential(x[0], x[1] - x[0], values, period, tail=tail)
 
 
-def _check_riccati(seed: SeedSolution, gate: float):
-    if seed.riccati_residual > gate:
+def _check_riccati(seed: SeedSolution):
+    if seed.riccati_residual > RICCATI_GATE:
         raise SeedConsistencyError(
             f"seed at epsilon = {seed.epsilon:.6g} fails its Riccati gate",
             seed.riccati_residual,
         )
 
 
-def susy1(
-    v: Potential,
-    seed: SeedSolution,
-    *,
-    riccati_gate: float = RICCATI_GATE,
-) -> TransformResult:
+def susy1(v: Potential, seed: SeedSolution) -> TransformResult:
     """First-order transform from a nodeless seed.
 
     The partner is V~ = 2 eps - V + 2 alpha^2 (the Riccati equation folds
@@ -195,7 +189,7 @@ def susy1(
             f"seed at epsilon = {seed.epsilon:.6g} has nodes in the window",
             seed.nodes,
         )
-    _check_riccati(seed, riccati_gate)
+    _check_riccati(seed)
 
     x = seed.x
     eps = seed.epsilon
@@ -238,13 +232,7 @@ def _wronskian(u1, up1, u2, up2, de):
     return w, -de * (cross * w - de * (u1 * u2) ** 2) / (w * w)
 
 
-def susy2(
-    v: Potential,
-    seed1: SeedSolution,
-    seed2: SeedSolution,
-    *,
-    riccati_gate: float = RICCATI_GATE,
-) -> TransformResult:
+def susy2(v: Potential, seed1: SeedSolution, seed2: SeedSolution) -> TransformResult:
     """Second-order transform from two seeds with a zero-free Wronskian.
 
     Everything is closed-form in the sampled seeds:
@@ -260,8 +248,8 @@ def susy2(
         )
     if len(seed1.x) != len(seed2.x) or abs(seed1.x[0] - seed2.x[0]) > 1e-12:
         raise ValueError("seeds must share the same window grid")
-    _check_riccati(seed1, riccati_gate)
-    _check_riccati(seed2, riccati_gate)
+    _check_riccati(seed1)
+    _check_riccati(seed2)
 
     x = seed1.x
     spp = seed1.samples_per_period
@@ -339,21 +327,9 @@ def susy2(
     )
 
 
-def kernel_states(result: TransformResult) -> tuple[KernelState, ...]:
-    """The partner eigenfunctions living in the kernel of B."""
-    return result.kernel
-
-
-def _default_test_functions(x):
-    period_scale = 0.1 * (x[-1] - x[0])
-    centers = (0.0, 0.35 * x[-1])
-    return [np.exp(-(((x - c) / period_scale) ** 2)) for c in centers]
-
-
-def factorization_residual(
-    v: Potential, result: TransformResult, test_functions=None
-) -> float:
-    """Operator-level factorization check on smooth test functions.
+def factorization_residual(v: Potential, result: TransformResult) -> float:
+    """Operator-level factorization check on two Gaussians, one at x = 0 and
+    one at 0.35 of the right window end, each a tenth of the window wide.
 
     Order 1: compares B B^dag + eps against H and B^dag B + eps against the
     partner Hamiltonian, applying the first-order factors as two separate
@@ -364,7 +340,7 @@ def factorization_residual(
     """
     x = result.x
     h = x[1] - x[0]
-    fs = test_functions if test_functions is not None else _default_test_functions(x)
+    fs = [np.exp(-(((x - c) / (0.1 * (x[-1] - x[0]))) ** 2)) for c in (0.0, 0.35 * x[-1])]
     interior = slice(8, -8)
     worst = 0.0
     v_vals = result.v_values
@@ -373,7 +349,6 @@ def factorization_residual(
         alpha = result.intertwiner
         eps = result.seeds[0].epsilon
         for f in fs:
-            f = np.asarray(f, dtype=float)
             norm = np.max(np.abs(f))
             bdag_f = -derivative(f, h) + alpha * f
             bbdag_f = derivative(bdag_f, h) + alpha * bdag_f
@@ -393,7 +368,6 @@ def factorization_residual(
     e1 = result.seeds[0].epsilon
     e2 = result.seeds[1].epsilon
     for f in fs:
-        f = np.asarray(f, dtype=float)
         norm = np.max(np.abs(f))
         # B = (B^dag)^adjoint = d^2 - beta d + (gamma - beta')
         b_f = second_derivative(f, h) - beta * derivative(f, h) + (gamma - beta_prime) * f

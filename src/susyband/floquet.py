@@ -100,7 +100,7 @@ def _dp5_step(k, vs, e, y, h):
     return d, h * (_E @ rows).reshape(y.shape)
 
 
-def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
+def _advance(v, e, x0: float, x1: float, y, rtol: float):
     """Adaptive DP5(4) advance of an energy batch y from x0 to x1 (either
     direction), behind ``transfer_matrices``.
 
@@ -131,7 +131,7 @@ def _advance(v, e, x0: float, x1: float, y, rtol: float, atol: float):
         vs = [None] + [v(x + c * h) for c in nodes]
         y_new, err = _dp5_step(k, vs, e, y, h)
         y_new += y  # in place: the increment's array becomes y_new
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.max(np.abs(err) / scale))
 
         if err_norm <= 1.0:
@@ -162,7 +162,7 @@ def _cell_steps(v, e: float, x0, h):
     return np.moveaxis(d, 2, 0), np.moveaxis(err, 2, 0)
 
 
-def _advance_sampled(v, e, xs, y0, rtol: float, atol: float):
+def _advance_sampled(v, e, xs, y0, rtol: float):
     """Advance through the strictly monotone breakpoints xs, recording y at each.
 
     Every cell between breakpoints takes one DP5 step, all cells in one
@@ -185,7 +185,7 @@ def _advance_sampled(v, e, xs, y0, rtol: float, atol: float):
             ys[k] = y
         start = ys[:-1]
         with np.errstate(invalid="ignore", over="ignore"):
-            scale = atol + rtol * np.maximum(np.abs(start), np.abs(ys[1:]))
+            scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(start), np.abs(ys[1:]))
             norm = np.max(np.abs(err @ start) / scale, axis=(1, 2))
         bad = ~(norm <= 1.0)
         # cells past the first non-finite start wait for a finite one
@@ -244,7 +244,6 @@ def propagate(
     samples: int | None = None,
     *,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ):
     """Transfer matrix b(x1 <- x0) at the given energy, optionally with a trace.
 
@@ -260,19 +259,18 @@ def propagate(
     if not x1 > x0:
         raise ValueError("propagation interval must satisfy x0 < x1")
     if samples is None:
-        y = transfer_matrices(v, [energy], x0, x1, rtol=rtol, atol=atol)[0]
+        y = transfer_matrices(v, [energy], x0, x1, rtol=rtol)[0]
         return TransferMatrix(y, x0, x1, float(energy)), None
     xs = np.linspace(x0, x1, samples + 1)
-    trace = _advance_sampled(v, float(energy), xs, np.eye(2), rtol, atol)
+    trace = _advance_sampled(v, float(energy), xs, np.eye(2), rtol)
     return TransferMatrix(trace[-1], x0, x1, float(energy)), trace
 
 
-def transfer_matrix(v, energy, x0, x1, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> TransferMatrix:
-    tm, _ = propagate(v, energy, x0, x1, rtol=rtol, atol=atol)
-    return tm
+def transfer_matrix(v, energy, x0, x1) -> TransferMatrix:
+    return propagate(v, energy, x0, x1)[0]
 
 
-def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
     """One-pass transfer matrices b(x1 <- x0) for a whole batch of energies;
     shape (nE, 2, 2).  Either direction is allowed: with x1 < x0 the result
     is the backward matrix, the inverse of b(x0 <- x1).
@@ -286,7 +284,7 @@ def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL, atol=DEFAULT_AT
     if e.size == 0:
         return np.empty((0, 2, 2))
     y0 = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, e.size)).copy()
-    y = _advance(v, e[None, :], x0, x1, y0, rtol, atol)
+    y = _advance(v, e[None, :], x0, x1, y0, rtol)
     return np.moveaxis(y, 2, 0)
 
 
@@ -297,12 +295,12 @@ def _require_period(v: Potential) -> float:
     return float(period)
 
 
-def discriminant(v, energy, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> float:
+def discriminant(v, energy) -> float:
     """D(E) = Tr b(T <- 0), the trace of the one-period Floquet matrix."""
-    return float(discriminants(v, [energy], rtol=rtol, atol=atol)[0])
+    return float(discriminants(v, [energy])[0])
 
 
-def discriminants(v, energies, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def discriminants(v, energies, *, rtol=DEFAULT_RTOL):
     """Batched discriminant sweep over an array of energies.
 
     An even potential (``v.even``) is integrated over half a period only:
@@ -311,9 +309,9 @@ def discriminants(v, energies, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """
     period = _require_period(v)
     if v.even:
-        ms = transfer_matrices(v, energies, 0.0, 0.5 * period, rtol=rtol, atol=atol)
+        ms = transfer_matrices(v, energies, 0.0, 0.5 * period, rtol=rtol)
         return 2.0 * (ms[:, 0, 0] * ms[:, 1, 1] + ms[:, 0, 1] * ms[:, 1, 0])
-    ms = transfer_matrices(v, energies, 0.0, period, rtol=rtol, atol=atol)
+    ms = transfer_matrices(v, energies, 0.0, period, rtol=rtol)
     return ms[:, 0, 0] + ms[:, 1, 1]
 
 
@@ -353,9 +351,9 @@ def classify_discriminant(d: float, edge_tol: float = EDGE_TOL) -> EnergyClass:
     return EnergyClass(tag, d, multipliers_from_discriminant(d))
 
 
-def classify(v, energy, edge_tol: float = EDGE_TOL, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> EnergyClass:
+def classify(v, energy) -> EnergyClass:
     """Classify an energy as allowed band, band edge, or gap."""
-    return classify_discriminant(discriminant(v, energy, rtol=rtol, atol=atol), edge_tol)
+    return classify_discriminant(discriminant(v, energy))
 
 
 @dataclass(frozen=True)
@@ -393,6 +391,10 @@ SECTIONS = 64
 #: grid points per sweep of an extremum search, and the number of sweeps
 _EXTREMUM_POINTS = 65
 _EXTREMUM_SWEEPS = 3
+#: relative tolerance of the coarse band-edge scan, and k-section sweeps per
+#: edge bracket (7 sweeps of 64 sections narrow a bracket by 2**-42)
+_SCAN_RTOL = 1e-8
+_EDGE_SWEEPS = 7
 
 
 def ksection(g, lo, hi, s_lo, *, sweeps: int, width: float = 0.0):
@@ -424,7 +426,7 @@ def ksection(g, lo, hi, s_lo, *, sweeps: int, width: float = 0.0):
     return 0.5 * (lo + hi)
 
 
-def _grid_extrema(v, lo, hi, sign, *, rtol, atol):
+def _grid_extrema(v, lo, hi, sign, *, rtol):
     """Batched grid search for the maximum of sign_i * D on each [lo_i, hi_i].
 
     Every sweep lays _EXTREMUM_POINTS points across each interval, evaluates
@@ -440,7 +442,7 @@ def _grid_extrema(v, lo, hi, sign, *, rtol, atol):
     ends = None
     for _ in range(_EXTREMUM_SWEEPS):
         grid = lo[:, None] + (hi - lo)[:, None] * frac
-        d = discriminants(v, grid.ravel(), rtol=rtol, atol=atol).reshape(grid.shape)
+        d = discriminants(v, grid.ravel(), rtol=rtol).reshape(grid.shape)
         if ends is None:
             ends = d[:, 0], d[:, -1]
         best = np.argmax(sign * d, axis=1)
@@ -457,15 +459,12 @@ def band_edges(
     *,
     scan_per_unit: float = 400.0,
     edge_tol: float = EDGE_TOL,
-    refine_iters: int = 40,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    scan_rtol: float = 1e-8,
 ) -> BandStructure:
     """Locate all band edges (roots of D = +-2) inside [e_min, e_max].
 
     A coarse scan, ``scan_per_unit`` energies per unit at the loose
-    ``scan_rtol``, brackets the sign changes of D -+ 2 and flags the interior
+    _SCAN_RTOL, brackets the sign changes of D -+ 2 and flags the interior
     extrema of D within 0.05 of +-2.  All refinement runs at the full
     ``rtol``, and every refinement sweep is one batched ``discriminants``
     call covering all brackets or all extrema at once:
@@ -476,15 +475,14 @@ def band_edges(
       tangent to +-2; touching points are reported separately and do not
       count as edges.  One beyond +-2 between two unbracketed scan cells
       yields a pair of roots that slipped between scan points.
-    * each root bracket is narrowed by 64-fold k-section in
-      ceil(refine_iters / 6) sweeps, to at most 2**-refine_iters of a scan
-      cell.
+    * each root bracket is narrowed by 64-fold k-section in _EDGE_SWEEPS
+      sweeps, to at most 2**-42 of a scan cell.
     """
     if not e_max > e_min:
         raise ValueError("need e_min < e_max")
     n_scan = max(64, int(math.ceil((e_max - e_min) * scan_per_unit)))
     es = np.linspace(e_min, e_max, n_scan + 1)
-    ds = discriminants(v, es, rtol=scan_rtol, atol=atol)
+    ds = discriminants(v, es, rtol=_SCAN_RTOL)
 
     roots: list[tuple[float, str]] = []
     bracketed_cells: set[int] = set()
@@ -510,7 +508,7 @@ def band_edges(
     turning, ext_targets = turning[near], ext_targets[near]
     if turning.size:
         e_ext, d_ext, (d_left, d_right) = _grid_extrema(
-            v, es[turning - 1], es[turning + 1], np.sign(ext_targets), rtol=rtol, atol=atol
+            v, es[turning - 1], es[turning + 1], np.sign(ext_targets), rtol=rtol
         )
         for i, target, e, d, d_lo, d_hi in zip(
             turning.tolist(), ext_targets, e_ext, d_ext, d_left, d_right
@@ -530,10 +528,10 @@ def band_edges(
         lo, hi, s_lo, targets = np.array(brackets).T
 
         def g(e):
-            d = discriminants(v, e.ravel(), rtol=rtol, atol=atol)
+            d = discriminants(v, e.ravel(), rtol=rtol)
             return d.reshape(e.shape) - targets[:, None]
 
-        refined = ksection(g, lo, hi, s_lo, sweeps=math.ceil(refine_iters / math.log2(SECTIONS)))
+        refined = ksection(g, lo, hi, s_lo, sweeps=_EDGE_SWEEPS)
         roots.extend((float(r), _EDGE_KIND[t]) for r, t in zip(refined, targets))
 
     roots.sort(key=lambda rk: rk[0])
@@ -565,10 +563,10 @@ def band_edges(
     )
 
 
-def write_discriminant_csv(stream, v, energies, edge_tol: float = EDGE_TOL, *, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def write_discriminant_csv(stream, v, energies, edge_tol: float = EDGE_TOL, *, rtol=DEFAULT_RTOL):
     """Emit an E, D(E), class_tag sweep as CSV (12 significant digits)."""
     energies = np.asarray(energies, dtype=float)
-    ds = discriminants(v, energies, rtol=rtol, atol=atol)
+    ds = discriminants(v, energies, rtol=rtol)
     stream.write("E,D,class_tag\n")
     for e, d in zip(energies, ds):
         tag = classify_discriminant(float(d), edge_tol).tag

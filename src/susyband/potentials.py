@@ -28,7 +28,6 @@ __all__ = [
     "TabulatedPotential",
     "ShiftedPotential",
     "lame",
-    "evaluate",
     "potential_from_dict",
     "potential_from_json",
 ]
@@ -254,11 +253,6 @@ class ShiftedPotential(Potential):
 
     def __repr__(self):
         return f"ShiftedPotential({self.base!r}, delta={self.delta})"
-
-
-def evaluate(v: Potential, x):
-    """Value of the potential at x (scalar or array); alias for calling it."""
-    return v(x)
 
 
 def potential_from_dict(doc: dict) -> Potential:

@@ -90,20 +90,12 @@ class ScenarioRun:
 _BAND_CACHE: dict[tuple, floquet.BandStructure] = {}
 
 
-def band_structure_for(
-    v: LamePotential,
-    *,
-    scan_per_unit: float = 400.0,
-    rtol: float = floquet.DEFAULT_RTOL,
-    atol: float = floquet.DEFAULT_ATOL,
-) -> floquet.BandStructure:
+def band_structure_for(v: LamePotential, *, rtol=floquet.DEFAULT_RTOL) -> floquet.BandStructure:
     """Band structure of a Lame potential over its `band_window`, which holds
     all 2n+1 edges."""
-    key = (v.n, v.m, scan_per_unit, rtol, atol)
+    key = (v.n, v.m, rtol)
     if key not in _BAND_CACHE:
-        _BAND_CACHE[key] = floquet.band_edges(
-            v, *v.band_window, scan_per_unit=scan_per_unit, rtol=rtol, atol=atol
-        )
+        _BAND_CACHE[key] = floquet.band_edges(v, *v.band_window, rtol=rtol)
     return _BAND_CACHE[key]
 
 
@@ -135,19 +127,20 @@ def _best_bloch_pair(v, e1, e2, **seed_kwargs):
     return best
 
 
-def _mixing_angles(n_per_band: int = 24):
-    """Candidate mixing angles with |c_minus / c_plus| in [1/4, 4], both signs.
+def _mixing_angles():
+    """Candidate mixing angles with |c_minus / c_plus| in [1/4, 4], both signs,
+    24 per sign.
 
     Balanced magnitudes keep the defect's crossover within roughly a period
     of the window center (the offset grows like ln|ratio| / (2 ln|beta|)),
     which the decay-rate fits of the kernel states need.
     """
     lo, hi = np.arctan(0.25), np.arctan(4.0)
-    band = np.linspace(lo, hi, n_per_band)
+    band = np.linspace(lo, hi, 24)
     return np.concatenate([band, np.pi - band[::-1]])
 
 
-def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol, atol):
+def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol):
     """Deterministic mixing search for a zero-free Wronskian with all four
     branch coefficients active (so both kernel states are normalizable).
 
@@ -156,8 +149,8 @@ def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol, atol):
     (theta1, theta2) scan is pure arithmetic.
     """
     spp_coarse = 256
-    g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp_coarse, rtol=rtol, atol=atol)
-    g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp_coarse, rtol=rtol, atol=atol)
+    g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp_coarse, rtol=rtol)
+    g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp_coarse, rtol=rtol)
     x = window_grid(float(v.period), periods, spp_coarse)
     basis = []
     for b1 in (g1, d1):
@@ -189,11 +182,8 @@ def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol, atol):
             f"no zero-free Wronskian mixing found for energies {e1}, {e2}"
         )
     (cp1, cm1), (cp2, cm2) = best
-    s1 = general_seed(v, e1, cp1, cm1, periods=periods,
-                      samples_per_period=samples_per_period, rtol=rtol, atol=atol)
-    s2 = general_seed(v, e2, cp2, cm2, periods=periods,
-                      samples_per_period=samples_per_period, rtol=rtol, atol=atol)
-    return s1, s2
+    kwargs = dict(periods=periods, samples_per_period=samples_per_period, rtol=rtol)
+    return general_seed(v, e1, cp1, cm1, **kwargs), general_seed(v, e2, cp2, cm2, **kwargs)
 
 
 def run_scenario(
@@ -202,7 +192,6 @@ def run_scenario(
     periods: int = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
     rtol: float = floquet.DEFAULT_RTOL,
-    atol: float = floquet.DEFAULT_ATOL,
 ) -> ScenarioRun:
     """Execute a named scenario and return its seeds, transform, and context."""
     if name not in SCENARIOS:
@@ -211,10 +200,8 @@ def run_scenario(
         )
     sc = SCENARIOS[name]
     v = lame(sc.n, sc.m)
-    bands = band_structure_for(v, rtol=rtol, atol=atol)
-    kwargs = dict(
-        periods=periods, samples_per_period=samples_per_period, rtol=rtol, atol=atol
-    )
+    bands = band_structure_for(v, rtol=rtol)
+    kwargs = dict(periods=periods, samples_per_period=samples_per_period, rtol=rtol)
 
     if sc.mode == MODE_EDGE:
         energies = [bands.edges[i] for i in sc.edge_indices]
@@ -227,7 +214,7 @@ def run_scenario(
     else:
         if sc.order == 1:
             eps = sc.energies[0]
-            mix = nodeless_mixing(v, eps, periods=periods, rtol=rtol, atol=atol)
+            mix = nodeless_mixing(v, eps, periods=periods, rtol=rtol)
             chosen = [general_seed(v, eps, *mix, **kwargs)]
         else:
             chosen = list(_best_general_pair(v, *sc.energies, **kwargs))

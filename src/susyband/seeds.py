@@ -44,6 +44,8 @@ __all__ = [
 DEFAULT_PERIODS = 16
 #: maximum admissible Riccati residual for an accepted seed
 RICCATI_GATE = 1e-6
+#: samples per period of the window on which node_scan counts sign changes
+_SCAN_SAMPLES = 256
 
 KIND_BLOCH_EDGE = "bloch_edge"
 KIND_BLOCH_GAP = "bloch_gap"
@@ -170,9 +172,7 @@ def bloch_branches(
     epsilon: float,
     *,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-    edge_tol: float = floquet.EDGE_TOL,
     rtol: float = floquet.DEFAULT_RTOL,
-    atol: float = floquet.DEFAULT_ATOL,
 ) -> tuple[BlochBranch, BlochBranch, float]:
     """(growing branch, decaying branch, discriminant) at a gap energy.
 
@@ -183,9 +183,7 @@ def bloch_branches(
     period = v.period
     if period is None:
         raise ValueError("Bloch seeds need a periodic potential")
-    tm, trace = floquet.propagate(
-        v, epsilon, 0.0, period, samples=samples_per_period, rtol=rtol, atol=atol
-    )
+    tm, trace = floquet.propagate(v, epsilon, 0.0, period, samples=samples_per_period, rtol=rtol)
     d = tm.trace
     xs = np.linspace(0.0, period, samples_per_period + 1)
 
@@ -199,7 +197,7 @@ def bloch_branches(
             up_spline=CubicSpline(xs, samples[:, 1]),
         )
 
-    if abs(abs(d) - 2.0) <= edge_tol:
+    if abs(abs(d) - 2.0) <= floquet.EDGE_TOL:
         beta = 1.0 if d > 0 else -1.0
         branch = build(beta)
         return branch, branch, d
@@ -323,19 +321,14 @@ def bloch_seed(
     *,
     periods: int = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-    edge_tol: float = floquet.EDGE_TOL,
     rtol: float = floquet.DEFAULT_RTOL,
-    atol: float = floquet.DEFAULT_ATOL,
 ) -> tuple[SeedSolution, SeedSolution]:
     """The pair of Bloch seeds (u^beta, u^{1/beta}) at a gap or sub-E0 energy.
 
     Ordered (growing, decaying) with |beta| > 1 first.  At a band edge the
     single (anti)periodic solution comes back twice, flagged as such.
     """
-    grow, decay, d = bloch_branches(
-        v, epsilon, samples_per_period=samples_per_period,
-        edge_tol=edge_tol, rtol=rtol, atol=atol,
-    )
+    grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period, rtol=rtol)
 
     def assemble(branch, kind):
         return _assemble(
@@ -357,17 +350,12 @@ def general_seed(
     *,
     periods: int = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-    edge_tol: float = floquet.EDGE_TOL,
     rtol: float = floquet.DEFAULT_RTOL,
-    atol: float = floquet.DEFAULT_ATOL,
 ) -> SeedSolution:
     """u = c_plus u^beta + c_minus u^{1/beta} over the working window."""
     if c_plus == 0.0 and c_minus == 0.0:
         raise ValueError("mixing coefficients must not both vanish")
-    grow, decay, d = bloch_branches(
-        v, epsilon, samples_per_period=samples_per_period,
-        edge_tol=edge_tol, rtol=rtol, atol=atol,
-    )
+    grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period, rtol=rtol)
     if grow is decay:
         raise BandEnergyError(
             f"energy {epsilon:.6g} sits on a band edge; the Bloch pair is "
@@ -385,9 +373,7 @@ def node_scan(
     scan_resolution: int = 720,
     *,
     periods: int = DEFAULT_PERIODS,
-    samples_per_period: int = 256,
     rtol: float = floquet.DEFAULT_RTOL,
-    atol: float = floquet.DEFAULT_ATOL,
 ):
     """Sweep the mixing ratio c_minus/c_plus and report window node counts.
 
@@ -396,18 +382,16 @@ def node_scan(
     Returns a list of (ratio, node_count); an even resolution lands exactly
     on the two Bloch endpoints.
     """
-    grow, decay, _ = bloch_branches(
-        v, epsilon, samples_per_period=samples_per_period, rtol=rtol, atol=atol
-    )
+    grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=_SCAN_SAMPLES, rtol=rtol)
     if grow is decay:
         raise BandEnergyError("node scan is undefined at a band edge")
-    x = window_grid(float(v.period), periods, samples_per_period)
+    x = window_grid(float(v.period), periods, _SCAN_SAMPLES)
     u_grow, _ = grow.evaluate(x)
     u_decay, _ = decay.evaluate(x)
     thetas = np.arange(scan_resolution) * (math.pi / scan_resolution)
     mix = np.cos(thetas)[:, None] * u_grow[None, :] + np.sin(thetas)[:, None] * u_decay[None, :]
-    signs = mix[:, :-1] * mix[:, 1:] < 0.0
-    counts = signs.sum(axis=1)
+    signs = np.sign(mix)
+    counts = (signs[:, :-1] * signs[:, 1:] < 0.0).sum(axis=1)
     out = []
     for theta, count in zip(thetas, counts):
         ratio = math.inf if abs(theta - 0.5 * math.pi) < 1e-12 else math.tan(theta)

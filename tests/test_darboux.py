@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from susyband.darboux import (
     apply_intertwiner,
     factorization_residual,
-    kernel_states,
     susy1,
     susy2,
     write_transform_csv,
@@ -41,7 +40,7 @@ def test_free_particle_soliton_partner(soliton):
 
 
 def test_soliton_kernel_state(soliton):
-    state = kernel_states(soliton)[0]
+    state = soliton.kernel[0]
     assert state.normalizable
     sech = 1.0 / np.cosh(soliton.x)
     assert np.max(np.abs(state.psi - sech / np.max(sech))) < 1e-9

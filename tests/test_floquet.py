@@ -253,6 +253,32 @@ def test_discriminant_invariant_under_shift(n, m, shift, where):
     assert abs(d - d_shifted) <= 1e-8 * max(1.0, abs(d))
 
 
+class _Offset(Potential):
+    """V + c on a base potential; not marked even, so D integrates a full period."""
+
+    def __init__(self, base, c):
+        self.base, self.c, self.period = base, c, base.period
+
+    def __call__(self, x):
+        return self.base(x) + self.c
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    m=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    c=st.floats(-3.0, 3.0),
+)
+def test_discriminant_follows_constant_offset(n, m, c):
+    # -psi'' + (V + c) psi = (E + c) psi is the equation of V at E, so
+    # D_{V+c}(E + c) = D_V(E); the Lame side integrates half a period
+    v = lame(n, m)
+    es = np.linspace(*v.band_window, 16)
+    d = discriminants(v, es)
+    d_offset = discriminants(_Offset(v, c), es + c)
+    assert np.all(np.abs(d_offset - d) <= 1e-8 * np.maximum(1.0, np.abs(d)))
+
+
 def test_even_potential_integrates_half_period(monkeypatch):
     from susyband import floquet
 

@@ -10,7 +10,6 @@ from susyband.potentials import (
     Potential,
     ShiftedPotential,
     TabulatedPotential,
-    evaluate,
     lame,
     potential_from_dict,
     potential_from_json,
@@ -96,11 +95,6 @@ def test_tabulated_validation():
     with pytest.raises(ValueError):
         # periodic table that does not close
         TabulatedPotential(0.0, 1.0 / 16, np.linspace(0, 1, 17), 1.0)
-
-
-def test_evaluate_alias():
-    v = lame(1, 0.5)
-    assert evaluate(v, 1.1) == v(1.1)
 
 
 def test_json_round_trip():

@@ -135,6 +135,27 @@ def test_node_scan_in_gap_floor():
     assert min_count >= 15  # 16-period window, about one node per period
 
 
+def test_node_scan_long_window_compares_signs():
+    # over 200 periods the window amplitudes reach about 1e155, where the
+    # product of two neighbouring samples overflows
+    from susyband.seeds import bloch_branches
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scan = node_scan(LAME1, -1.0, 16, periods=200)
+    grow, decay, _ = bloch_branches(LAME1, -1.0, samples_per_period=256)
+    x = window_grid(LAME1.period, 200, 256)
+    ug, _ = grow.evaluate(x)
+    ud, _ = decay.evaluate(x)
+    for k, (ratio, count) in enumerate(scan):
+        theta = k * (math.pi / 16)
+        s = np.sign(math.cos(theta) * ug + math.sin(theta) * ud)
+        assert count == int(np.sum(s[:-1] != s[1:]))
+        # both branches are positive: a same-sign mixture has no node, any
+        # other exactly one
+        assert count == (0 if ratio >= 0.0 else 1)
+
+
 def test_nodeless_mixing_midpoint():
     c_plus, c_minus = nodeless_mixing(LAME1, 0.0)
     assert c_plus == pytest.approx(math.cos(math.pi / 4), abs=0.05)
