@@ -228,8 +228,8 @@ def susy1(v: Potential, seed: SeedSolution) -> TransformResult:
 def _wronskian(u1, up1, u2, up2, de):
     """W = u1 u2' - u1' u2 and beta' = -(W'/W)' with W' = de u1 u2, de = eps1 - eps2."""
     w = u1 * up2 - up1 * u2
-    cross = up1 * u2 + u1 * up2
-    return w, -de * (cross * w - de * (u1 * u2) ** 2) / (w * w)
+    q = u1 * u2 / w  # divided before squaring, so |W| > 1e154 does not overflow
+    return w, -de * ((up1 * u2 + u1 * up2) / w - de * q * q)
 
 
 def susy2(v: Potential, seed1: SeedSolution, seed2: SeedSolution) -> TransformResult:
@@ -259,7 +259,7 @@ def susy2(v: Potential, seed1: SeedSolution, seed2: SeedSolution) -> TransformRe
 
     # zero-freeness against a per-period local scale
     local = local_max(np.abs(w), spp)
-    sign_flips = np.nonzero(w[:-1] * w[1:] < 0.0)[0]
+    sign_flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0.0)[0]
     if sign_flips.size or np.any(np.abs(w) < 1e-12 * local):
         zeros = [0.5 * (x[i] + x[i + 1]) for i in sign_flips]
         raise SingularTransformError(

@@ -5,13 +5,13 @@ is integrated with an embedded Dormand-Prince 5(4) pair.  The two
 canonical columns (1,0) and (0,1) propagate together, so the result of one
 pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
 ride along in one adaptive integration since V(x) is shared between them,
-which is what makes dense discriminant sweeps cheap.  That loop,
-``_advance``, serves energy batches only: one energy is a batch of one.
-A sampled propagation at one energy instead steps every cell between its
-breakpoints at once, with one vector call of V per pass, and halves the
-cells that fail the error test.  Both paths take their steps through
-``_dp5_step``: the tableau exists once, as the arrays _A, _B, _E and _C,
-and each stage is one weighted sum over a preallocated stage buffer.
+which is what makes dense discriminant sweeps cheap.  One loop,
+``_advance``, takes every step.  Its batch axis holds either energies or,
+for a sampled propagation at one energy, the cells between breakpoints:
+each cell starts from the identity, all cells share the step and one
+vector call of V per step, and the trace is their running product.  The
+tableau exists once, as the arrays _A, _B, _E and _C, and ``_dp5_step``
+forms each stage as one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -74,7 +74,7 @@ _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.2
 _SAFETY = 0.9
-#: smallest step, relative to max(1, |x|), before StiffIntegrationError
+#: smallest step, relative to max(1, |x|) at the far end, before StiffIntegrationError
 _H_FLOOR = 64.0 * np.finfo(float).eps
 
 
@@ -84,58 +84,74 @@ def _deriv_into(out, v_x, e, y):
     np.multiply(v_x - e, y[0], out=out[1])
 
 
-def _dp5_step(k, vs, e, y, h):
+def _dp5_step(k, vs, e, y, h: float):
     """One DP5 step of y by h, its stages kept in the buffer k of shape (7,) + y.shape.
 
-    k[0] must hold the slope at the start of the step, and vs[i] is V at
-    x + C[i] h (vs[0] is not read); h is a scalar or broadcasts against y's
-    trailing axis.  Fills k[1:] and returns the increment h B . k[:6] and
-    the error h E . k.
+    k[0] must hold the slope at the start of the step, and vs[i - 1] is V
+    at x + C[i] h for the stages i = 1..5.  Fills k[1:] and returns the
+    increment h B . k[:6] and the error h E . k.
     """
     rows = k.reshape(7, -1)
     for i in range(1, 6):
-        _deriv_into(k[i], vs[i], e, y + h * (_A[i, :i] @ rows[:i]).reshape(y.shape))
+        _deriv_into(k[i], vs[i - 1], e, y + h * (_A[i, :i] @ rows[:i]).reshape(y.shape))
     d = h * (_B @ rows[:6]).reshape(y.shape)
-    _deriv_into(k[6], vs[5], e, y + d)
+    _deriv_into(k[6], vs[4], e, y + d)
     return d, h * (_E @ rows).reshape(y.shape)
 
 
-def _advance(v, e, x0: float, x1: float, y, rtol: float):
-    """Adaptive DP5(4) advance of an energy batch y from x0 to x1 (either
-    direction), behind ``transfer_matrices``.
+def _advance(v, e, x0, span: float, y, rtol: float):
+    """Adaptive DP5(4) advance of the batch y (its trailing axis) over s from
+    0 to span, either sign, at x = x0 + s; all columns share the step.
 
-    `v` is a scalar-in scalar-out callable, called once per stage abscissa
-    for the whole batch; `e` broadcasts against the trailing (energy) axis
-    of y.
+    * A float x0 makes y an energy batch (`e` broadcasts against it), and
+      `v` is called on scalars, once per stage abscissa.
+    * An array x0 makes y a batch of cells at one energy, column j from
+      x0[j], and `v` is called once per step on all stage abscissae.  On a
+      step underflow the column with the largest last error ratio (NaN as
+      inf) is blamed, once the columns before it ran on their own, so the
+      error names the first failure in x.
     """
-    span = x1 - x0
     if span == 0.0:
         return y
+    cells = np.ndim(x0) > 0
     direction = 1.0 if span > 0 else -1.0
-    x = x0
-    v_x = v(x)
+    s = 0.0
+    v_x = v(x0)
     k = np.empty((7,) + y.shape)
     _deriv_into(k[0], v_x, e, y)
     nodes = _C[1:].tolist()
+    y0, ratios = y, np.zeros(y.shape)
+    floor = _H_FLOOR * max(1.0, float(np.max(np.abs(x0))) + abs(span))
 
     # First trial step from the local oscillation scale.
     k_scale = math.sqrt(max(1.0, float(np.max(np.abs(v_x - e)))))
     h = direction * min(abs(span), 0.1 / k_scale)
 
-    while (x1 - x) * direction > 0.0:
-        if abs(h) > abs(x1 - x):
-            h = x1 - x
-        if abs(h) < _H_FLOOR * max(1.0, abs(x)):
+    while (span - s) * direction > 0.0:
+        if abs(h) > abs(span - s):
+            h = span - s
+        x = x0 + s
+        if abs(h) < floor:
+            if cells:
+                last = np.max(ratios, axis=(0, 1))
+                j = int(np.argmax(np.where(np.isnan(last), np.inf, last)))
+                if j:
+                    _advance(v, e, x0[:j], span, y0[..., :j], rtol)
+                x = float(x[j])
             raise StiffIntegrationError("step size underflow in propagation", x)
 
-        vs = [None] + [v(x + c * h) for c in nodes]
+        if cells:
+            vs = np.asarray(v((x + _C[1:, None] * h).ravel()), dtype=float).reshape(5, -1)
+        else:
+            vs = [v(x + c * h) for c in nodes]
         y_new, err = _dp5_step(k, vs, e, y, h)
         y_new += y  # in place: the increment's array becomes y_new
         scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.max(np.abs(err) / scale))
+        ratios = np.abs(err) / scale
+        err_norm = float(np.max(ratios))
 
         if err_norm <= 1.0:
-            x += h
+            s += h
             y = y_new
             k[0] = k[6]
             factor = _MAX_GROW if err_norm == 0.0 else min(
@@ -145,72 +161,6 @@ def _advance(v, e, x0: float, x1: float, y, rtol: float):
         else:
             h *= max(_MIN_SHRINK, _SAFETY * err_norm ** -0.2)
     return y
-
-
-def _cell_steps(v, e: float, x0, h):
-    """One DP5 step from the identity on every cell [x0_k, x0_k + h_k] at once.
-
-    The system is linear, so the step of any y is y + D_k @ y with local
-    error E_k @ y.  All stage abscissae go to ``v`` in one vector call.
-    Returns D and E, each of shape (n_cells, 2, 2).
-    """
-    vs = np.asarray(v((x0 + _C[:, None] * h).ravel()), dtype=float).reshape(6, -1)
-    eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, h.size))
-    k = np.empty((7, 2, 2, h.size))
-    _deriv_into(k[0], vs[0], e, eye)
-    d, err = _dp5_step(k, vs, e, eye, h)
-    return np.moveaxis(d, 2, 0), np.moveaxis(err, 2, 0)
-
-
-def _advance_sampled(v, e, xs, y0, rtol: float):
-    """Advance through the strictly monotone breakpoints xs, recording y at each.
-
-    Every cell between breakpoints takes one DP5 step, all cells in one
-    vectorized pass (``_cell_steps``), and y is carried across them in
-    increment form, y_k = y_{k-1} + D_k @ y_{k-1}.  Each step must pass the
-    error test of ``_advance`` on the trajectory itself; every cell that
-    fails is halved and the pass repeats over the refined grid.  Cells past
-    the first one that starts from a non-finite y wait for a later pass, so
-    a NaN or an overflow refines only where it arises, down to the step
-    floor of ``_advance``, where StiffIntegrationError is raised.
-    """
-    grid = np.asarray(xs, dtype=float)
-    at_break = np.ones(grid.size, dtype=bool)
-    d, err = _cell_steps(v, e, grid[:-1], np.diff(grid))
-    while True:
-        ys = np.empty((grid.size,) + np.shape(y0))
-        ys[0] = y = y0
-        for k, dk in enumerate(d, 1):
-            y = y + dk @ y
-            ys[k] = y
-        start = ys[:-1]
-        with np.errstate(invalid="ignore", over="ignore"):
-            scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(start), np.abs(ys[1:]))
-            norm = np.max(np.abs(err @ start) / scale, axis=(1, 2))
-        bad = ~(norm <= 1.0)
-        # cells past the first non-finite start wait for a finite one
-        blocked = np.flatnonzero(~np.isfinite(start).all(axis=(1, 2)))
-        if blocked.size:
-            bad[blocked[0] + 1:] = False
-        cells = np.flatnonzero(bad)
-        if not cells.size:
-            return ys[at_break]
-        lo, hi = grid[cells], grid[cells + 1]
-        mid = lo + 0.5 * (hi - lo)
-        width = np.minimum(np.abs(mid - lo), np.abs(hi - mid))
-        tiny = width < _H_FLOOR * np.maximum(1.0, np.abs(lo))
-        if tiny.any():
-            raise StiffIntegrationError(
-                "step size underflow in propagation", float(lo[tiny.argmax()])
-            )
-        # cell k of the old grid becomes cells (k + j, k + j + 1), j its rank
-        pos = cells + np.arange(cells.size)
-        halves = np.stack((pos, pos + 1), axis=1).ravel()
-        grid = np.insert(grid, cells + 1, mid)
-        at_break = np.insert(at_break, cells + 1, False)
-        d = np.insert(d, cells + 1, 0.0, axis=0)
-        err = np.insert(err, cells + 1, 0.0, axis=0)
-        d[halves], err[halves] = _cell_steps(v, e, grid[halves], np.diff(grid)[halves])
 
 
 @dataclass(frozen=True)
@@ -249,9 +199,11 @@ def propagate(
 
     With ``samples=n`` the interval is traversed through n+1 uniform
     breakpoints and the canonical-column matrices b(x_k <- x0) are recorded,
-    so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  The
-    sampled path steps all cells at once and calls ``v`` only on arrays, so
-    it needs a vector-capable V; without ``samples`` V is called on scalars.
+    so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  One
+    ``_advance`` pass integrates every cell b(x_k <- x_{k-1}) from the
+    identity, and b_k is the running product of the cells.  That pass calls
+    ``v`` only on arrays, so it needs a vector-capable V; without
+    ``samples`` V is called on scalars.
 
     Returns (TransferMatrix, trace) where trace is None or an array of shape
     (n+1, 2, 2).
@@ -261,8 +213,13 @@ def propagate(
     if samples is None:
         y = transfer_matrices(v, [energy], x0, x1, rtol=rtol)[0]
         return TransferMatrix(y, x0, x1, float(energy)), None
-    xs = np.linspace(x0, x1, samples + 1)
-    trace = _advance_sampled(v, float(energy), xs, np.eye(2), rtol)
+    starts = np.linspace(x0, x1, samples + 1)[:-1]
+    eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, samples))
+    cells = np.moveaxis(_advance(v, float(energy), starts, (x1 - x0) / samples, eye, rtol), 2, 0)
+    trace = np.empty((samples + 1, 2, 2))
+    trace[0] = np.eye(2)
+    for i, cell in enumerate(cells, 1):
+        trace[i] = cell @ trace[i - 1]
     return TransferMatrix(trace[-1], x0, x1, float(energy)), trace
 
 
@@ -284,7 +241,7 @@ def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
     if e.size == 0:
         return np.empty((0, 2, 2))
     y0 = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, e.size)).copy()
-    y = _advance(v, e[None, :], x0, x1, y0, rtol)
+    y = _advance(v, e[None, :], x0, x1 - x0, y0, rtol)
     return np.moveaxis(y, 2, 0)
 
 

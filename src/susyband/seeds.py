@@ -46,6 +46,8 @@ DEFAULT_PERIODS = 16
 RICCATI_GATE = 1e-6
 #: samples per period of the window on which node_scan counts sign changes
 _SCAN_SAMPLES = 256
+#: mixing angles per block of node_scan, which bounds the table held at once
+_SCAN_BLOCK = 64
 
 KIND_BLOCH_EDGE = "bloch_edge"
 KIND_BLOCH_GAP = "bloch_gap"
@@ -389,9 +391,10 @@ def node_scan(
     u_grow, _ = grow.evaluate(x)
     u_decay, _ = decay.evaluate(x)
     thetas = np.arange(scan_resolution) * (math.pi / scan_resolution)
-    mix = np.cos(thetas)[:, None] * u_grow[None, :] + np.sin(thetas)[:, None] * u_decay[None, :]
-    signs = np.sign(mix)
-    counts = (signs[:, :-1] * signs[:, 1:] < 0.0).sum(axis=1)
+    counts = []
+    for block in np.split(thetas, np.arange(_SCAN_BLOCK, scan_resolution, _SCAN_BLOCK)):
+        signs = np.sign(np.cos(block)[:, None] * u_grow + np.sin(block)[:, None] * u_decay)
+        counts.extend((signs[:, :-1] * signs[:, 1:] < 0.0).sum(axis=1))
     out = []
     for theta, count in zip(thetas, counts):
         ratio = math.inf if abs(theta - 0.5 * math.pi) < 1e-12 else math.tan(theta)

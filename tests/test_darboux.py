@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -252,3 +253,31 @@ def test_bloch_partner_keeps_discriminant(n, m, epsilon):
     energies = np.linspace(*v.band_window, 16)
     d = discriminants(v, energies)
     assert np.all(np.abs(discriminants(partner, energies) - d) <= 1e-5 * np.maximum(1.0, np.abs(d)))
+
+
+@pytest.fixture(scope="module")
+def long_pair():
+    v = lame(1, 0.5)
+
+    def run(periods):
+        s1 = bloch_seed(v, -1.0, periods=periods)[0]
+        s2 = bloch_seed(v, -0.5, periods=periods)[0]
+        return susy2(v, s1, s2)
+
+    return run
+
+
+@pytest.mark.parametrize("periods", [100, 140])
+def test_susy2_long_window_stays_finite(long_pair, periods):
+    # |W| passes 1e154 on these windows, where W * W overflowed and left NaN
+    # partner values behind without an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        long = long_pair(periods)
+    assert np.all(np.isfinite(long.partner_values))
+    ref = long_pair(16)
+    centre = slice((ref.x.size - 8193) // 2, (ref.x.size + 8193) // 2)
+    start = int(np.argmin(np.abs(long.x - ref.x[centre][0])))
+    on_long = slice(start, start + 8193)
+    assert np.max(np.abs(long.x[on_long] - ref.x[centre])) < 1e-12
+    assert np.max(np.abs(long.partner_values[on_long] - ref.partner_values[centre])) < 1e-10

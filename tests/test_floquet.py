@@ -147,7 +147,7 @@ def test_propagate_trace_columns():
 @pytest.mark.parametrize("n, m, energy", [(1, 0.5, 0.8), (3, 0.95, 2.0)])
 def test_sampled_trace_matches_chained_transfer_matrices(n, m, energy, samples):
     # the cell-parallel pass against one adaptive solve per interval; at 16
-    # samples the cells are too wide for one step and get halved
+    # samples the cells are too wide for one step and share several
     v = lame(n, m)
     _, trace = propagate(v, energy, 0.0, v.period, samples=samples)
     xs = np.linspace(0.0, v.period, samples + 1)
@@ -176,7 +176,7 @@ def test_sampled_propagation_calls_v_on_vectors():
     propagate(v, 0.4, 0.0, v.period, samples=2048)
     assert not [x for x in v.calls if np.isscalar(x)]
     assert 1 <= len(v.calls) <= 3
-    # one cell of the 16-sample grid needs several steps: the halving passes
+    # a cell of the 16-sample grid needs several steps, which all cells share
     v = _Recording(lame(2, 0.5))
     propagate(v, 0.4, 0.0, v.period, samples=16)
     assert not [x for x in v.calls if np.isscalar(x)]
@@ -192,27 +192,67 @@ def test_advance_evaluates_each_point_once():
 
 
 def test_sampled_propagation_pole_raises():
-    # a pole inside one cell, and a patch where V is NaN: the cells there
-    # are halved down to the step floor, never accepted
+    # poles inside cells, and patches where V is NaN: the shared step
+    # shrinks there down to the step floor, never accepted.  With two
+    # failures the error names the first in x, wherever the larger error
+    # ratio sits
     from susyband.errors import StiffIntegrationError
 
-    class Pole(Potential):
+    class Poles(Potential):
         period = 2.0
 
-        def __call__(self, x):
-            return 1.0 / (x - 1.00037)
+        def __init__(self, *at):
+            self.at = at
 
-    class NanPatch(Potential):
+        def __call__(self, x):
+            return sum(1.0 / (x - a) for a in self.at)
+
+    class NanPatches(Potential):
         period = 2.0
 
-        def __call__(self, x):
-            return np.where((x > 0.9) & (x < 1.1), math.nan, 0.0)
+        def __init__(self, *spans):
+            self.spans = spans
 
-    for v, where in ((Pole(), 1.00037), (NanPatch(), 0.9)):
+        def __call__(self, x):
+            nan = np.zeros(np.shape(x), dtype=bool)
+            for lo, hi in self.spans:
+                nan |= (x > lo) & (x < hi)
+            return np.where(nan, math.nan, 0.0)
+
+    for v, where in (
+        (Poles(1.00037), 1.00037),
+        (NanPatches((0.9, 1.1)), 0.9),
+        (Poles(1.00037, 0.41), 0.41),
+        (NanPatches((0.3, 0.31), (0.9, 1.1)), 0.3),
+    ):
         for samples in (16, 2048):
             with pytest.raises(StiffIntegrationError) as err:
                 propagate(v, 1.0, 0.0, 2.0, samples=samples)
             assert err.value.x == pytest.approx(where, abs=1e-3)
+
+
+@pytest.mark.parametrize("samples", [256, 2048])
+@pytest.mark.parametrize("n, m, energy", [(1, 0.95, -1.0), (3, 0.95, -1.0), (3, 0.61, 0.3)])
+def test_sampled_trace_accuracy(n, m, energy, samples):
+    # every cell's error test reads its own matrix from the identity, so the
+    # trace keeps the tolerance even where the trajectory grows large
+    v = lame(n, m)
+    _, trace = propagate(v, energy, 0.0, v.period, samples=samples)
+    xs = np.linspace(0.0, v.period, samples + 1)
+    chained = [np.eye(2)]
+    for a, b in zip(xs[:-1], xs[1:]):
+        chained.append(transfer_matrices(v, [energy], a, b, rtol=1e-13)[0] @ chained[-1])
+    chained = np.array(chained)
+    err = np.max(np.abs(trace - chained), axis=(1, 2)) / np.max(np.abs(chained), axis=(1, 2))
+    assert np.max(err) < 5e-11
+
+
+def test_sampled_propagation_work():
+    # at 2048 samples every cell takes one step: V at the cell starts, then
+    # at the five stage abscissae of all cells
+    v = _Recording(lame(2, 0.5))
+    propagate(v, 0.4, 0.0, v.period, samples=2048)
+    assert len(v.calls) == 2
 
 
 @pytest.mark.parametrize(
