@@ -238,24 +238,6 @@ def bound_states_in_gaps(
     return out
 
 
-def _decaying_initial(ms: np.ndarray, energies: np.ndarray, toward: str) -> np.ndarray:
-    """Initial data, one row per energy, of the local Bloch solution that
-    decays toward +/-inf, from the one-period matrices ms of shape (n, 2, 2)."""
-    d = ms[:, 0, 0] + ms[:, 1, 1]
-    inside = np.abs(d) <= 2.0
-    if inside.any():
-        raise ValueError(
-            f"shooting energy {energies[inside.argmax()]:.6g} is not in a spectral "
-            "gap of the far field"
-        )
-    grow = 0.5 * d + np.copysign(np.sqrt(0.25 * d * d - 1.0), d)
-    beta = 1.0 / grow if toward == "plus" else grow
-    r1 = np.stack((ms[:, 0, 1], beta - ms[:, 0, 0]), axis=1)
-    r2 = np.stack((beta - ms[:, 1, 1], ms[:, 1, 0]), axis=1)
-    vec = np.where((np.abs(r1).sum(axis=1) >= np.abs(r2).sum(axis=1))[:, None], r1, r2)
-    return vec / np.max(np.abs(vec), axis=1, keepdims=True)
-
-
 def shooting_eigenvalue(
     w: Potential,
     e_lo: float,
@@ -284,8 +266,19 @@ def shooting_eigenvalue(
 
     def mismatch(es: np.ndarray) -> np.ndarray:
         e = es.ravel()
-        y_l = _decaying_initial(matrices(e, x_lo, x_lo + period), e, "minus")
-        y_r = _decaying_initial(matrices(e, x_hi - period, x_hi), e, "plus")
+        # the outermost periods, left then right, as one batch
+        ms = np.concatenate((matrices(e, x_lo, x_lo + period), matrices(e, x_hi - period, x_hi)))
+        d = ms[:, 0, 0] + ms[:, 1, 1]
+        inside = np.abs(d) <= 2.0
+        if inside.any():
+            raise ValueError(
+                f"shooting energy {np.tile(e, 2)[inside.argmax()]:.6g} is not in a "
+                "spectral gap of the far field"
+            )
+        # the left data decay toward -inf (|beta| > 1), the right toward +inf
+        grow = floquet.growing_multiplier(d)
+        beta = np.concatenate((grow[: e.size], 1.0 / grow[e.size :]))
+        y_l, y_r = np.split(floquet.bloch_vectors(ms, beta), 2)
         left = np.einsum("nij,nj->ni", matrices(e, x_lo, 0.0), y_l)
         right = np.einsum("nij,nj->ni", matrices(e, x_hi, 0.0), y_r)
         wronskian = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]

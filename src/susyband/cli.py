@@ -7,8 +7,9 @@ no randomness anywhere in the pipeline) so identical runs are byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical/scenario error.
 
-Environment overrides: SUSYBAND_SAMPLES_PER_PERIOD, SUSYBAND_PERIODS,
-SUSYBAND_RTOL, SUSYBAND_EDGE_TOL.
+Environment overrides: SUSYBAND_SAMPLES_PER_PERIOD and SUSYBAND_PERIODS,
+which reach seed construction and scenarios; the integration and band-edge
+tolerances are the fixed floquet.DEFAULT_RTOL and floquet.EDGE_TOL.
 """
 
 from __future__ import annotations
@@ -57,28 +58,22 @@ _NUMERICAL_ERRORS = (
 
 
 def _env_overrides() -> dict:
+    """The seed settings given by environment variables, as keyword arguments
+    of seed construction and scenarios."""
     opts = {}
-    mapping = {
-        "SUSYBAND_SAMPLES_PER_PERIOD": ("samples_per_period", int),
-        "SUSYBAND_PERIODS": ("periods", int),
-        "SUSYBAND_RTOL": ("rtol", float),
-        "SUSYBAND_EDGE_TOL": ("edge_tol", float),
-    }
-    for var, (key, cast) in mapping.items():
+    for var, key in (
+        ("SUSYBAND_SAMPLES_PER_PERIOD", "samples_per_period"),
+        ("SUSYBAND_PERIODS", "periods"),
+    ):
         raw = os.environ.get(var)
         if raw is not None:
             try:
-                opts[key] = cast(raw)
+                opts[key] = int(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {var}: {raw!r}") from exc
-            if cast is int and opts[key] <= 0:
+            if opts[key] <= 0:
                 raise ConfigError(f"{var} must be positive, got {raw!r}")
     return opts
-
-
-def _seed_kwargs(opts) -> dict:
-    """The overrides that seed construction and scenarios accept."""
-    return {k: opts[k] for k in ("periods", "samples_per_period", "rtol") if k in opts}
 
 
 def _load_config(path: str | None) -> dict:
@@ -153,11 +148,7 @@ def cmd_bands(args, config, opts) -> int:
             e_min, e_max = v.band_window
         else:
             raise ConfigError("bands needs an energy window (--emin/--emax)")
-    rtol = opts.get("rtol", floquet.DEFAULT_RTOL)
-    edge_tol = opts.get("edge_tol", floquet.EDGE_TOL)
-    bands = floquet.band_edges(
-        v, float(e_min), float(e_max), edge_tol=edge_tol, rtol=rtol
-    )
+    bands = floquet.band_edges(v, float(e_min), float(e_max))
     out = _out_dir(args)
     _write_json(
         out / "edges.json",
@@ -174,7 +165,7 @@ def cmd_bands(args, config, opts) -> int:
     )
     sweep = np.linspace(float(e_min), float(e_max), args.sweep_points)
     with (out / "discriminant.csv").open("w", newline="\n") as fh:
-        floquet.write_discriminant_csv(fh, v, sweep, edge_tol, rtol=rtol)
+        floquet.write_discriminant_csv(fh, v, sweep)
     print(f"wrote {out / 'edges.json'} ({len(bands.edges)} edges)")
     print(f"wrote {out / 'discriminant.csv'}")
     return 0
@@ -183,18 +174,17 @@ def cmd_bands(args, config, opts) -> int:
 def _transform_from_config(v, config, opts):
     order = int(config.get("order", 1))
     seed_kind = config.get("seed", "bloch")
-    kwargs = _seed_kwargs(opts)
 
     def one_seed(spec):
         eps = float(spec["epsilon"])
         kind = spec.get("seed", seed_kind)
         if kind == "bloch":
-            return bloch_seed(v, eps, **kwargs)[0]
+            return bloch_seed(v, eps, **opts)[0]
         if kind == "general":
             if "c_plus" in spec:
-                return general_seed(v, eps, float(spec["c_plus"]), float(spec["c_minus"]), **kwargs)
-            mix = nodeless_mixing(v, eps, **{k: kwargs[k] for k in kwargs if k != "samples_per_period"})
-            return general_seed(v, eps, *mix, **kwargs)
+                return general_seed(v, eps, float(spec["c_plus"]), float(spec["c_minus"]), **opts)
+            mix = nodeless_mixing(v, eps, **{k: opts[k] for k in opts if k != "samples_per_period"})
+            return general_seed(v, eps, *mix, **opts)
         raise ConfigError(f"unknown seed kind {kind!r}")
 
     if order == 1:
@@ -211,7 +201,7 @@ def cmd_transform(args, config, opts) -> int:
     if args.scenario:
         if args.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {args.scenario!r}")
-        run = run_scenario(args.scenario, **_seed_kwargs(opts))
+        run = run_scenario(args.scenario, **opts)
         result = run.result
     else:
         v = _resolve_potential(args, config)
@@ -245,7 +235,7 @@ def cmd_invariance(args, config, opts) -> int:
     eps = args.epsilon if args.epsilon is not None else config.get("epsilon")
     if eps is None:
         raise ConfigError("invariance needs an epsilon (--epsilon or config)")
-    report = invariance_test(v, float(eps), **_seed_kwargs(opts))
+    report = invariance_test(v, float(eps), **opts)
     out = _out_dir(args)
     _write_json(out / "invariance.json", _float_tree(report.to_dict()))
     print(f"wrote {out / 'invariance.json'} (verdict: {report.verdict})")
@@ -257,14 +247,13 @@ def cmd_states(args, config, opts) -> int:
     eps = args.epsilon if args.epsilon is not None else config.get("epsilon")
     if eps is None:
         raise ConfigError("states needs an epsilon (--epsilon or config)")
-    kwargs = _seed_kwargs(opts)
     c_plus = args.c_plus if args.c_plus is not None else config.get("c_plus")
     c_minus = args.c_minus if args.c_minus is not None else config.get("c_minus")
     if c_plus is not None or c_minus is not None:
-        seed = general_seed(v, float(eps), float(c_plus or 0.0), float(c_minus or 0.0), **kwargs)
+        seed = general_seed(v, float(eps), float(c_plus or 0.0), float(c_minus or 0.0), **opts)
         seeds = [seed]
     else:
-        seeds = list(bloch_seed(v, float(eps), **kwargs))
+        seeds = list(bloch_seed(v, float(eps), **opts))
     out = _out_dir(args)
     names = []
     for i, seed in enumerate(seeds):

@@ -15,7 +15,8 @@ forms each stage as one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
-classifier, and the band-edge finder.
+classifier, the multipliers and Bloch eigenvectors read off the matrix, and
+the band-edge finder.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "classify",
     "classify_discriminant",
     "multipliers_from_discriminant",
+    "growing_multiplier",
+    "bloch_vectors",
     "band_edges",
     "ksection",
     "SECTIONS",
@@ -186,15 +189,7 @@ class TransferMatrix:
         return TransferMatrix(self.matrix @ other.matrix, other.x0, self.x1, self.energy)
 
 
-def propagate(
-    v: Potential,
-    energy: float,
-    x0: float,
-    x1: float,
-    samples: int | None = None,
-    *,
-    rtol: float = DEFAULT_RTOL,
-):
+def propagate(v: Potential, energy: float, x0: float, x1: float, samples: int | None = None):
     """Transfer matrix b(x1 <- x0) at the given energy, optionally with a trace.
 
     With ``samples=n`` the interval is traversed through n+1 uniform
@@ -211,11 +206,12 @@ def propagate(
     if not x1 > x0:
         raise ValueError("propagation interval must satisfy x0 < x1")
     if samples is None:
-        y = transfer_matrices(v, [energy], x0, x1, rtol=rtol)[0]
+        y = transfer_matrices(v, [energy], x0, x1)[0]
         return TransferMatrix(y, x0, x1, float(energy)), None
     starts = np.linspace(x0, x1, samples + 1)[:-1]
     eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, samples))
-    cells = np.moveaxis(_advance(v, float(energy), starts, (x1 - x0) / samples, eye, rtol), 2, 0)
+    span = (x1 - x0) / samples
+    cells = np.moveaxis(_advance(v, float(energy), starts, span, eye, DEFAULT_RTOL), 2, 0)
     trace = np.empty((samples + 1, 2, 2))
     trace[0] = np.eye(2)
     for i, cell in enumerate(cells, 1):
@@ -288,21 +284,48 @@ class EnergyClass:
     multipliers: tuple[complex, complex]
 
 
+def growing_multiplier(d):
+    """The Floquet multiplier of modulus >= 1 for a discriminant |D| >= 2,
+    D/2 + copysign(sqrt(D^2/4 - 1), D), for a float or an array; its partner
+    is the reciprocal, which avoids the cancellation in D/2 - sqrt(...)."""
+    return 0.5 * d + np.copysign(np.sqrt(0.25 * d * d - 1.0), d)
+
+
 def multipliers_from_discriminant(d: float) -> tuple[complex, complex]:
     """Floquet multipliers beta_pm = D/2 +- sqrt(D^2/4 - 1); product is 1."""
     half = 0.5 * d
     disc = half * half - 1.0
     if disc >= 0.0:
-        root = math.sqrt(disc)
-        return half + root, half - root
+        grow = float(growing_multiplier(d))
+        return (grow, 1.0 / grow) if d > 0.0 else (1.0 / grow, grow)
     root = math.sqrt(-disc)
     return complex(half, root), complex(half, -root)
 
 
-def classify_discriminant(d: float, edge_tol: float = EDGE_TOL) -> EnergyClass:
-    if abs(d - 2.0) <= edge_tol:
+def bloch_vectors(ms, beta):
+    """Eigenvectors of the Floquet matrices ms, shape (n, 2, 2), for the
+    multipliers beta, shape (n,); one row per matrix.
+
+    Each vector is read from the defect row of ms - beta of larger weight,
+    so a Jordan block at a band edge needs no eigen-decomposition.  It is
+    oriented along the row (b01, beta - b00), which makes it vary
+    continuously with the energy, and scaled to a largest entry of 1.  A
+    multiple of the identity gets (1, 0).
+    """
+    r1 = np.stack((ms[:, 0, 1], beta - ms[:, 0, 0]), axis=1)
+    r2 = np.stack((beta - ms[:, 1, 1], ms[:, 1, 0]), axis=1)
+    vec = np.where((np.abs(r1).sum(axis=1) >= np.abs(r2).sum(axis=1))[:, None], r1, r2)
+    vec *= np.where(np.sum(vec * r1, axis=1) < 0.0, -1.0, 1.0)[:, None]
+    norm = np.max(np.abs(vec), axis=1, keepdims=True)
+    vec /= np.where(norm == 0.0, 1.0, norm)
+    vec[norm[:, 0] == 0.0] = (1.0, 0.0)
+    return vec
+
+
+def classify_discriminant(d: float) -> EnergyClass:
+    if abs(d - 2.0) <= EDGE_TOL:
         return EnergyClass(TAG_EDGE_PERIODIC, d, (1.0, 1.0))
-    if abs(d + 2.0) <= edge_tol:
+    if abs(d + 2.0) <= EDGE_TOL:
         return EnergyClass(TAG_EDGE_ANTIPERIODIC, d, (-1.0, -1.0))
     tag = TAG_ALLOWED_BAND if abs(d) < 2.0 else TAG_GAP
     return EnergyClass(tag, d, multipliers_from_discriminant(d))
@@ -383,7 +406,7 @@ def ksection(g, lo, hi, s_lo, *, sweeps: int, width: float = 0.0):
     return 0.5 * (lo + hi)
 
 
-def _grid_extrema(v, lo, hi, sign, *, rtol):
+def _grid_extrema(v, lo, hi, sign):
     """Batched grid search for the maximum of sign_i * D on each [lo_i, hi_i].
 
     Every sweep lays _EXTREMUM_POINTS points across each interval, evaluates
@@ -399,7 +422,7 @@ def _grid_extrema(v, lo, hi, sign, *, rtol):
     ends = None
     for _ in range(_EXTREMUM_SWEEPS):
         grid = lo[:, None] + (hi - lo)[:, None] * frac
-        d = discriminants(v, grid.ravel(), rtol=rtol).reshape(grid.shape)
+        d = discriminants(v, grid.ravel()).reshape(grid.shape)
         if ends is None:
             ends = d[:, 0], d[:, -1]
         best = np.argmax(sign * d, axis=1)
@@ -410,28 +433,22 @@ def _grid_extrema(v, lo, hi, sign, *, rtol):
 
 
 def band_edges(
-    v: Potential,
-    e_min: float,
-    e_max: float,
-    *,
-    scan_per_unit: float = 400.0,
-    edge_tol: float = EDGE_TOL,
-    rtol: float = DEFAULT_RTOL,
+    v: Potential, e_min: float, e_max: float, *, scan_per_unit: float = 400.0
 ) -> BandStructure:
     """Locate all band edges (roots of D = +-2) inside [e_min, e_max].
 
     A coarse scan, ``scan_per_unit`` energies per unit at the loose
     _SCAN_RTOL, brackets the sign changes of D -+ 2 and flags the interior
-    extrema of D within 0.05 of +-2.  All refinement runs at the full
-    ``rtol``, and every refinement sweep is one batched ``discriminants``
-    call covering all brackets or all extrema at once:
+    extrema of D within 0.05 of +-2.  All refinement runs at DEFAULT_RTOL,
+    and every refinement sweep is one batched ``discriminants`` call
+    covering all brackets or all extrema at once:
 
     * extrema are located by a grid search (three sweeps of 65 points, each
-      narrowing to the neighbours of the best point).  One within
-      ``edge_tol`` of +-2 is a touching point, a closed gap where D is
-      tangent to +-2; touching points are reported separately and do not
-      count as edges.  One beyond +-2 between two unbracketed scan cells
-      yields a pair of roots that slipped between scan points.
+      narrowing to the neighbours of the best point).  One within EDGE_TOL
+      of +-2 is a touching point, a closed gap where D is tangent to +-2;
+      touching points are reported separately and do not count as edges.
+      One beyond +-2 between two unbracketed scan cells yields a pair of
+      roots that slipped between scan points.
     * each root bracket is narrowed by 64-fold k-section in _EDGE_SWEEPS
       sweeps, to at most 2**-42 of a scan cell.
     """
@@ -465,13 +482,13 @@ def band_edges(
     turning, ext_targets = turning[near], ext_targets[near]
     if turning.size:
         e_ext, d_ext, (d_left, d_right) = _grid_extrema(
-            v, es[turning - 1], es[turning + 1], np.sign(ext_targets), rtol=rtol
+            v, es[turning - 1], es[turning + 1], np.sign(ext_targets)
         )
         for i, target, e, d, d_lo, d_hi in zip(
             turning.tolist(), ext_targets, e_ext, d_ext, d_left, d_right
         ):
             overshoot = (d - target) if target > 0.0 else (target - d)
-            if abs(d - target) <= edge_tol:
+            if abs(d - target) <= EDGE_TOL:
                 touching.append(float(e))
             elif overshoot > 0.0 and not ({i - 1, i} & bracketed_cells):
                 for lo, hi, g_lo, g_hi in (
@@ -485,7 +502,7 @@ def band_edges(
         lo, hi, s_lo, targets = np.array(brackets).T
 
         def g(e):
-            d = discriminants(v, e.ravel(), rtol=rtol)
+            d = discriminants(v, e.ravel())
             return d.reshape(e.shape) - targets[:, None]
 
         refined = ksection(g, lo, hi, s_lo, sweeps=_EDGE_SWEEPS)
@@ -520,11 +537,11 @@ def band_edges(
     )
 
 
-def write_discriminant_csv(stream, v, energies, edge_tol: float = EDGE_TOL, *, rtol=DEFAULT_RTOL):
+def write_discriminant_csv(stream, v, energies):
     """Emit an E, D(E), class_tag sweep as CSV (12 significant digits)."""
     energies = np.asarray(energies, dtype=float)
-    ds = discriminants(v, energies, rtol=rtol)
+    ds = discriminants(v, energies)
     stream.write("E,D,class_tag\n")
     for e, d in zip(energies, ds):
-        tag = classify_discriminant(float(d), edge_tol).tag
+        tag = classify_discriminant(float(d)).tag
         stream.write(f"{e:.12g},{d:.12g},{tag}\n")

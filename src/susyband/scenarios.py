@@ -90,12 +90,12 @@ class ScenarioRun:
 _BAND_CACHE: dict[tuple, floquet.BandStructure] = {}
 
 
-def band_structure_for(v: LamePotential, *, rtol=floquet.DEFAULT_RTOL) -> floquet.BandStructure:
+def band_structure_for(v: LamePotential) -> floquet.BandStructure:
     """Band structure of a Lame potential over its `band_window`, which holds
     all 2n+1 edges."""
-    key = (v.n, v.m, rtol)
+    key = (v.n, v.m)
     if key not in _BAND_CACHE:
-        _BAND_CACHE[key] = floquet.band_edges(v, *v.band_window, rtol=rtol)
+        _BAND_CACHE[key] = floquet.band_edges(v, *v.band_window)
     return _BAND_CACHE[key]
 
 
@@ -140,7 +140,7 @@ def _mixing_angles():
     return np.concatenate([band, np.pi - band[::-1]])
 
 
-def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol):
+def _best_general_pair(v, e1, e2, *, periods, samples_per_period):
     """Deterministic mixing search for a zero-free Wronskian with all four
     branch coefficients active (so both kernel states are normalizable).
 
@@ -149,8 +149,8 @@ def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol):
     (theta1, theta2) scan is pure arithmetic.
     """
     spp_coarse = 256
-    g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp_coarse, rtol=rtol)
-    g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp_coarse, rtol=rtol)
+    g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp_coarse)
+    g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp_coarse)
     x = window_grid(float(v.period), periods, spp_coarse)
     basis = []
     for b1 in (g1, d1):
@@ -182,7 +182,7 @@ def _best_general_pair(v, e1, e2, *, periods, samples_per_period, rtol):
             f"no zero-free Wronskian mixing found for energies {e1}, {e2}"
         )
     (cp1, cm1), (cp2, cm2) = best
-    kwargs = dict(periods=periods, samples_per_period=samples_per_period, rtol=rtol)
+    kwargs = dict(periods=periods, samples_per_period=samples_per_period)
     return general_seed(v, e1, cp1, cm1, **kwargs), general_seed(v, e2, cp2, cm2, **kwargs)
 
 
@@ -191,7 +191,6 @@ def run_scenario(
     *,
     periods: int = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-    rtol: float = floquet.DEFAULT_RTOL,
 ) -> ScenarioRun:
     """Execute a named scenario and return its seeds, transform, and context."""
     if name not in SCENARIOS:
@@ -200,8 +199,8 @@ def run_scenario(
         )
     sc = SCENARIOS[name]
     v = lame(sc.n, sc.m)
-    bands = band_structure_for(v, rtol=rtol)
-    kwargs = dict(periods=periods, samples_per_period=samples_per_period, rtol=rtol)
+    bands = band_structure_for(v)
+    kwargs = dict(periods=periods, samples_per_period=samples_per_period)
 
     if sc.mode == MODE_EDGE:
         energies = [bands.edges[i] for i in sc.edge_indices]
@@ -214,7 +213,7 @@ def run_scenario(
     else:
         if sc.order == 1:
             eps = sc.energies[0]
-            mix = nodeless_mixing(v, eps, periods=periods, rtol=rtol)
+            mix = nodeless_mixing(v, eps, periods=periods)
             chosen = [general_seed(v, eps, *mix, **kwargs)]
         else:
             chosen = list(_best_general_pair(v, *sc.energies, **kwargs))

@@ -139,25 +139,6 @@ class SeedSolution:
         return plus > 1e-12 and minus > 1e-12
 
 
-def _eigenvector(b: np.ndarray, beta: float) -> np.ndarray:
-    """Eigenvector of the Floquet matrix for multiplier beta, gauge-fixed.
-
-    Normalized to u(0) = 1 when u(0) != 0, else u'(0) = 1; stable at band
-    edges (Jordan block) because it never eigen-decomposes, it reads the
-    defect row directly.
-    """
-    r1 = np.array([b[0, 1], beta - b[0, 0]])
-    r2 = np.array([beta - b[1, 1], b[1, 0]])
-    vec = r1 if np.abs(r1).sum() >= np.abs(r2).sum() else r2
-    norm = np.abs(vec).max()
-    if norm == 0.0:  # identity Floquet matrix: any vector works
-        return np.array([1.0, 0.0])
-    vec = vec / norm
-    if abs(vec[0]) > 1e-9:
-        return vec / vec[0]
-    return np.array([0.0, 1.0])
-
-
 def window_grid(period: float, periods: int, samples_per_period: int) -> np.ndarray:
     """The working window: periods // 2 periods left of x = 0 and the rest to
     the right, samples_per_period uniform cells per period, both ends included.
@@ -174,23 +155,36 @@ def bloch_branches(
     epsilon: float,
     *,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-    rtol: float = floquet.DEFAULT_RTOL,
 ) -> tuple[BlochBranch, BlochBranch, float]:
     """(growing branch, decaying branch, discriminant) at a gap energy.
 
     At a band edge the two branches coincide (multiplier +-1).  Raises
     BandEnergyError inside an allowed band, where the multipliers are a
-    complex unit pair and no real Bloch solution exists.
+    complex unit pair and no real Bloch solution exists.  Each branch starts
+    from the Floquet eigenvector in the gauge u(0) = 1, or u'(0) = 1 where
+    u(0) vanishes.
     """
     period = v.period
     if period is None:
         raise ValueError("Bloch seeds need a periodic potential")
-    tm, trace = floquet.propagate(v, epsilon, 0.0, period, samples=samples_per_period, rtol=rtol)
-    d = tm.trace
+    tm, trace = floquet.propagate(v, epsilon, 0.0, period, samples=samples_per_period)
+    ec = floquet.classify_discriminant(tm.trace)
+    d = ec.discriminant
+    if ec.tag == floquet.TAG_ALLOWED_BAND:
+        raise BandEnergyError(
+            f"energy {epsilon:.6g} lies in an allowed band (D = {d:.6g}); "
+            "Floquet multipliers are complex"
+        )
+    if ec.tag == floquet.TAG_GAP:
+        grow = float(floquet.growing_multiplier(d))
+        betas = np.array([grow, 1.0 / grow])
+    else:  # a band edge: the one (anti)periodic solution
+        betas = np.array(ec.multipliers[:1])
+    vecs = floquet.bloch_vectors(np.broadcast_to(tm.matrix, (betas.size, 2, 2)), betas)
     xs = np.linspace(0.0, period, samples_per_period + 1)
 
-    def build(beta: float) -> BlochBranch:
-        init = _eigenvector(tm.matrix, beta)
+    def build(beta: float, vec: np.ndarray) -> BlochBranch:
+        init = vec / vec[0] if abs(vec[0]) > 1e-9 else np.array([0.0, 1.0])
         samples = trace @ init  # (n+1, 2)
         return BlochBranch(
             multiplier=float(beta),
@@ -199,19 +193,8 @@ def bloch_branches(
             up_spline=CubicSpline(xs, samples[:, 1]),
         )
 
-    if abs(abs(d) - 2.0) <= floquet.EDGE_TOL:
-        beta = 1.0 if d > 0 else -1.0
-        branch = build(beta)
-        return branch, branch, d
-    if abs(d) < 2.0:
-        raise BandEnergyError(
-            f"energy {epsilon:.6g} lies in an allowed band (D = {d:.6g}); "
-            "Floquet multipliers are complex"
-        )
-    root = math.sqrt(0.25 * d * d - 1.0)
-    grow = 0.5 * d + math.copysign(root, d)  # |beta| > 1
-    decay = 1.0 / grow
-    return build(grow), build(decay), d
+    branches = [build(beta, vec) for beta, vec in zip(betas, vecs)]
+    return branches[0], branches[-1], d
 
 
 def _count_nodes(x, u, samples_per_period, evaluate):
@@ -323,14 +306,13 @@ def bloch_seed(
     *,
     periods: int = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-    rtol: float = floquet.DEFAULT_RTOL,
 ) -> tuple[SeedSolution, SeedSolution]:
     """The pair of Bloch seeds (u^beta, u^{1/beta}) at a gap or sub-E0 energy.
 
     Ordered (growing, decaying) with |beta| > 1 first.  At a band edge the
     single (anti)periodic solution comes back twice, flagged as such.
     """
-    grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period, rtol=rtol)
+    grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period)
 
     def assemble(branch, kind):
         return _assemble(
@@ -352,12 +334,11 @@ def general_seed(
     *,
     periods: int = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
-    rtol: float = floquet.DEFAULT_RTOL,
 ) -> SeedSolution:
     """u = c_plus u^beta + c_minus u^{1/beta} over the working window."""
     if c_plus == 0.0 and c_minus == 0.0:
         raise ValueError("mixing coefficients must not both vanish")
-    grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period, rtol=rtol)
+    grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period)
     if grow is decay:
         raise BandEnergyError(
             f"energy {epsilon:.6g} sits on a band edge; the Bloch pair is "
@@ -375,7 +356,6 @@ def node_scan(
     scan_resolution: int = 720,
     *,
     periods: int = DEFAULT_PERIODS,
-    rtol: float = floquet.DEFAULT_RTOL,
 ):
     """Sweep the mixing ratio c_minus/c_plus and report window node counts.
 
@@ -384,7 +364,7 @@ def node_scan(
     Returns a list of (ratio, node_count); an even resolution lands exactly
     on the two Bloch endpoints.
     """
-    grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=_SCAN_SAMPLES, rtol=rtol)
+    grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=_SCAN_SAMPLES)
     if grow is decay:
         raise BandEnergyError("node scan is undefined at a band edge")
     x = window_grid(float(v.period), periods, _SCAN_SAMPLES)

@@ -144,14 +144,18 @@ def test_shooting_finds_created_level(scenario_cache):
     run = scenario_cache("fig3a")
     partner = run.result.partner
     x = run.result.x
-    found = shooting_eigenvalue(partner, -0.05, 0.05, x_lo=x[0], x_hi=x[-1])
-    assert found == pytest.approx(0.0, abs=1e-3)
+    # the wide bracket crosses E = -0.78, where the defect row that gives the
+    # 1/beta far-field vector switches; an unoriented vector flips sign there
+    for e_lo, e_hi in ((-0.05, 0.05), (-0.5, 0.45)):
+        found = shooting_eigenvalue(partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])
+        assert found == pytest.approx(0.0, abs=1e-3)
 
 
 def test_shooting_no_eigenvalue_in_empty_bracket(scenario_cache):
-    run = scenario_cache("fig3a")
-    partner = run.result.partner
-    x = run.result.x
-    # a slice of the same gap well away from the created level
-    found = shooting_eigenvalue(partner, 0.12, 0.18, x_lo=x[0], x_hi=x[-1])
-    assert found is None
+    # slices of fig3a's gap away from the created level at 0, and the Bloch
+    # partner of fig2a, which has no level below the spectrum
+    for name, e_lo, e_hi in (("fig3a", 0.12, 0.18), ("fig3a", -0.5, -0.01), ("fig2a", -1.5, 0.45)):
+        run = scenario_cache(name)
+        x = run.result.x
+        found = shooting_eigenvalue(run.result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])
+        assert found is None

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from susyband.elliptic import jacobi_sncndn
 from susyband.floquet import (
     band_edges,
+    bloch_vectors,
     classify,
     classify_discriminant,
     discriminant,
     discriminants,
+    growing_multiplier,
     ksection,
     multipliers_from_discriminant,
     propagate,
@@ -373,9 +375,24 @@ def test_classify_on_potential():
 
 def test_multiplier_product_random():
     rng = np.random.default_rng(2)
-    for d in rng.uniform(-6, 6, 64):
+    # large |D| (deep below the spectrum) cancels in D/2 - sqrt(D^2/4 - 1)
+    for d in [*rng.uniform(-6, 6, 64), 1e4, 8e6, -8e6, 1e8, -1e12]:
         bp, bm = multipliers_from_discriminant(float(d))
         assert bp * bm == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("decaying", [False, True])
+def test_bloch_vectors(decaying):
+    v = lame(1, 0.5)
+    ms = transfer_matrices(v, np.linspace(-3.0, 0.49, 3001), 0.0, v.period)
+    grow = growing_multiplier(ms[:, 0, 0] + ms[:, 1, 1])
+    beta = 1.0 / grow if decaying else grow
+    vecs = bloch_vectors(ms, beta)
+    # oriented: no sign flip between neighbouring energies
+    assert np.all(np.sum(vecs[1:] * vecs[:-1], axis=1) > 0.0)
+    residual = np.einsum("nij,nj->ni", ms, vecs) - beta[:, None] * vecs
+    assert np.max(np.abs(residual)) / np.max(np.abs(ms)) < 1e-9
+    assert np.array_equal(bloch_vectors(np.eye(2)[None], np.array([1.0])), [[1.0, 0.0]])
 
 
 def test_band_edges_lame1():
