@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import floquet
 from .darboux import TransformResult, susy1
@@ -34,9 +35,9 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: displacement_fit: coarse offsets per period, samples per period, golden-section steps
-_FIT_OFFSETS = 1024
+#: displacement_fit: samples per period, samples between coarse offsets, golden-section steps
 _FIT_SAMPLES = 2048
+_FIT_STRIDE = 2
 _FIT_ITERS = 60
 #: bound on both invariance residuals (displacement and product variation)
 _INVARIANCE_TOL = 1e-4
@@ -72,24 +73,28 @@ def _linf_mismatch(v, w_values, xs, delta):
     return float(np.max(np.abs(np.asarray(v(xs + delta), dtype=float) - w_values)))
 
 
+def _offset_errors(v, w_values, xs):
+    """max |w(x) - v(x + delta)| over the samples xs of one period for each
+    offset delta = xs[_FIT_STRIDE * i]: v(xs + delta) is v(xs) rolled by
+    _FIT_STRIDE * i samples, up to the rounding of xs + delta."""
+    rolled = sliding_window_view(np.tile(np.asarray(v(xs), dtype=float), 2), xs.size)
+    return np.max(np.abs(rolled[: xs.size : _FIT_STRIDE] - w_values), axis=1)
+
+
 def displacement_fit(v: Potential, w: Potential) -> tuple[float, float]:
     """delta in [0, T) minimizing the L-infinity distance |w(x) - v(x + delta)|.
 
-    Coarse scan over _FIT_OFFSETS shifts, then golden-section refinement around
-    the best one.  The max-norm (rather than L2) keeps localized defects
-    visible instead of averaging them away.
+    Coarse scan over every _FIT_STRIDE-th sample point (_offset_errors), then
+    golden-section refinement around the first best one.  The max-norm (rather
+    than L2) keeps localized defects visible instead of averaging them away.
     """
     period = _matched_period(v, w)
     xs = np.linspace(0.0, period, _FIT_SAMPLES, endpoint=False)
     w_values = np.asarray(w(xs), dtype=float)
-    deltas = np.linspace(0.0, period, _FIT_OFFSETS, endpoint=False)
-    # vectorized coarse scan: one big evaluation of v on the shifted grid
-    grid = xs[None, :] + deltas[:, None]
-    errs = np.max(np.abs(np.asarray(v(grid), dtype=float) - w_values[None, :]), axis=1)
-    best = int(np.argmin(errs))
-    step = period / _FIT_OFFSETS
-    a = deltas[best] - step
-    b = deltas[best] + step
+    best = xs[_FIT_STRIDE * int(np.argmin(_offset_errors(v, w_values, xs)))]
+    step = _FIT_STRIDE * period / _FIT_SAMPLES
+    a = best - step
+    b = best + step
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     f_c = _linf_mismatch(v, w_values, xs, c)
@@ -251,13 +256,18 @@ def shooting_eigenvalue(
     Shoots from both window ends with decaying Bloch boundary data taken
     from the outermost period of the window itself (the far field is
     periodic there, and each end may converge to a differently displaced
-    copy), and brackets a sign change of the normalized Wronskian mismatch
-    at x = 0, which every window contains.  Every step evaluates the
-    mismatch for a whole batch of energies at once: a first sweep over
-    floquet.SECTIONS + 1 points across [e_lo, e_hi] picks the first sign
-    change, and _SHOOTING_SWEEPS k-section sweeps narrow it to 1e-10, or by
-    at most 48 halvings.  Returns None when no sign change brackets an
-    eigenvalue.
+    copy) and compares the two solutions at x = 0, which every window
+    contains.  The mismatch is sin(theta) cos(theta) for the angle theta
+    from the left solution (psi, psi') to the right one, which no sign flip
+    of floquet.bloch_vectors changes.  theta increases with E (psi'/psi
+    falls with E for a solution decaying to the left and rises for one
+    decaying to the right), so the mismatch rises through zero where the
+    solutions are parallel (a level) and falls where they are perpendicular.
+    Every step evaluates it for a whole batch of energies at once: a first
+    sweep over floquet.SECTIONS + 1 points across [e_lo, e_hi] picks the
+    first rising sign change, and _SHOOTING_SWEEPS k-section sweeps narrow
+    it to 1e-10, or by at most 48 halvings.  Returns None when there is no
+    rising sign change.
     """
     period = float(w.period)
 
@@ -283,14 +293,14 @@ def shooting_eigenvalue(
         right = np.einsum("nij,nj->ni", matrices(e, x_hi, 0.0), y_r)
         wronskian = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
         scale = np.sqrt(np.sum(left**2, axis=1) * np.sum(right**2, axis=1))
-        return (wronskian / scale).reshape(es.shape)
+        return (wronskian / scale * (np.sum(left * right, axis=1) / scale)).reshape(es.shape)
 
     es = np.linspace(float(e_lo), float(e_hi), floquet.SECTIONS + 1)
     signs = np.sign(mismatch(es))
-    changes = np.nonzero(signs[:-1] != signs[1:])[0]
-    if changes.size == 0:
+    rising = np.nonzero(signs[:-1] < signs[1:])[0]
+    if rising.size == 0:
         return None
-    i = int(changes[0])
+    i = int(rising[0])
     found = floquet.ksection(
         mismatch, es[i : i + 1], es[i + 1 : i + 2], signs[i : i + 1],
         sweeps=_SHOOTING_SWEEPS, width=1e-10,

@@ -409,17 +409,10 @@ def apply_intertwiner(result: TransformResult, seed: SeedSolution):
 
 
 def write_transform_csv(stream, result: TransformResult):
-    """CSV columns: x, V, V_partner, beta_or_alpha, psi_kernel_1, psi_kernel_2."""
+    """CSV columns: x, V, V_partner, beta_or_alpha, psi_kernel_1, psi_kernel_2
+    (12 significant digits); a kernel column the result lacks stays empty."""
     stream.write("x,V,V_partner,beta_or_alpha,psi_kernel_1,psi_kernel_2\n")
-    k1 = result.kernel[0].psi if len(result.kernel) > 0 else None
-    k2 = result.kernel[1].psi if len(result.kernel) > 1 else None
-    for i, xi in enumerate(result.x):
-        row = [
-            f"{xi:.12g}",
-            f"{result.v_values[i]:.12g}",
-            f"{result.partner_values[i]:.12g}",
-            f"{result.intertwiner[i]:.12g}",
-            f"{k1[i]:.12g}" if k1 is not None else "",
-            f"{k2[i]:.12g}" if k2 is not None else "",
-        ]
-        stream.write(",".join(row) + "\n")
+    kernel = [state.psi for state in result.kernel[:2]]
+    cols = [result.x, result.v_values, result.partner_values, result.intertwiner, *kernel]
+    row_fmt = ",".join(["%.12g"] * len(cols) + [""] * (2 - len(kernel))) + "\n"
+    stream.write((row_fmt * len(result.x)) % tuple(np.column_stack(cols).ravel().tolist()))

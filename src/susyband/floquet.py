@@ -540,8 +540,7 @@ def band_edges(
 def write_discriminant_csv(stream, v, energies):
     """Emit an E, D(E), class_tag sweep as CSV (12 significant digits)."""
     energies = np.asarray(energies, dtype=float)
-    ds = discriminants(v, energies)
+    ds = discriminants(v, energies).tolist()
+    rows = [(e, d, classify_discriminant(d).tag) for e, d in zip(energies.tolist(), ds)]
     stream.write("E,D,class_tag\n")
-    for e, d in zip(energies, ds):
-        tag = classify_discriminant(float(d)).tag
-        stream.write(f"{e:.12g},{d:.12g},{tag}\n")
+    stream.write(("%.12g,%.12g,%s\n" * len(rows)) % tuple(field for row in rows for field in row))

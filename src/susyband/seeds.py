@@ -447,8 +447,11 @@ def superpotential(seed: SeedSolution) -> SuperpotentialTrace:
 def write_seed_csv(stream, seed: SeedSolution):
     """Emit the seed trace as CSV: x, u, u_prime, alpha (12 significant digits)."""
     stream.write("x,u,u_prime,alpha\n")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         alpha = seed.u_prime / seed.u
-    for x, u, up, a in zip(seed.x, seed.u, seed.u_prime, alpha):
-        a_txt = f"{a:.12g}" if np.isfinite(a) else ""
-        stream.write(f"{x:.12g},{u:.12g},{up:.12g},{a_txt}\n")
+    table = np.column_stack((seed.x, seed.u, seed.u_prime, alpha))
+    # a non-finite alpha is an empty field: drop its value and its format
+    keep = np.ones(table.shape, dtype=bool)
+    keep[:, 3] = np.isfinite(alpha)
+    row_fmt = np.where(keep[:, 3], "%.12g,%.12g,%.12g,%.12g\n", "%.12g,%.12g,%.12g,\n")
+    stream.write("".join(row_fmt.tolist()) % tuple(table[keep].tolist()))

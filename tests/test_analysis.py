@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from susyband.analysis import (
+    _offset_errors,
     bound_states_in_gaps,
     compare_band_structure,
     displacement_fit,
@@ -11,8 +12,10 @@ from susyband.analysis import (
     shooting_eigenvalue,
 )
 from susyband.errors import BandEnergyError, PeriodMismatchError
+from susyband.darboux import susy1
 from susyband.floquet import discriminant
-from susyband.potentials import ShiftedPotential, lame
+from susyband.potentials import ConstantPotential, ShiftedPotential, lame
+from susyband.seeds import bloch_seed
 
 LAME1 = lame(1, 0.5)
 LAME2 = lame(2, 0.5)
@@ -51,6 +54,65 @@ def test_displacement_fit_fig1a(scenario_cache):
     delta, residual = displacement_fit(run.potential, run.result.partner)
     assert delta == pytest.approx(run.potential.period / 2, abs=1e-4)
     assert residual < 1e-4
+
+
+def _grid_errors(v, w_values, xs):
+    # reference: v evaluated on the full (1024 offsets) x (2048 samples) grid
+    deltas = np.linspace(0.0, v.period, 1024, endpoint=False)
+    grid = xs[None, :] + deltas[:, None]
+    return np.max(np.abs(np.asarray(v(grid), dtype=float) - w_values[None, :]), axis=1)
+
+
+def _grid_displacement_fit(v, w):
+    # reference: displacement_fit with the full-grid coarse scan
+    period = v.period
+    xs = np.linspace(0.0, period, 2048, endpoint=False)
+    w_values = np.asarray(w(xs), dtype=float)
+    deltas = np.linspace(0.0, period, 1024, endpoint=False)
+    best = int(np.argmin(_grid_errors(v, w_values, xs)))
+
+    def mismatch(delta):
+        return float(np.max(np.abs(np.asarray(v(xs + delta), dtype=float) - w_values)))
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    step = period / 1024
+    a, b = deltas[best] - step, deltas[best] + step
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    f_c, f_d = mismatch(c), mismatch(d)
+    for _ in range(60):
+        if f_c <= f_d:
+            b, d, f_d = d, c, f_c
+            c = b - golden * (b - a)
+            f_c = mismatch(c)
+        else:
+            a, c, f_c = c, d, f_d
+            d = a + golden * (b - a)
+            f_d = mismatch(d)
+        if b - a < 1e-12:
+            break
+    delta = 0.5 * (a + b)
+    return float(delta % period), mismatch(delta)
+
+
+def test_rolled_scan_matches_grid_scan(scenario_cache):
+    fig1a = scenario_cache("fig1a")
+    pairs = [(v, susy1(v, bloch_seed(v, -0.5)[0]).partner) for v in (LAME1, LAME2, lame(3, 0.5))]
+    pairs += [
+        (LAME1, ShiftedPotential(LAME1, 0.77)),
+        (fig1a.potential, fig1a.result.partner),
+        # every offset scores the same: both scans keep the first
+        (ConstantPotential(0.3, period=2.0), ConstantPotential(0.1, period=2.0)),
+    ]
+    for v, w in pairs:
+        xs = np.linspace(0.0, v.period, 2048, endpoint=False)
+        w_values = np.asarray(w(xs), dtype=float)
+        errs = _offset_errors(v, w_values, xs)
+        expected = _grid_errors(v, w_values, xs)
+        assert np.max(np.abs(errs - expected)) <= 1e-13
+        assert np.argmin(errs) == np.argmin(expected)
+    assert np.argmin(errs) == 0
+    fit = displacement_fit(fig1a.potential, fig1a.result.partner)
+    assert fit == _grid_displacement_fit(fig1a.potential, fig1a.result.partner)
 
 
 def test_displacement_not_a_copy(scenario_cache):
@@ -155,6 +217,17 @@ def test_shooting_no_eigenvalue_in_empty_bracket(scenario_cache):
     # slices of fig3a's gap away from the created level at 0, and the Bloch
     # partner of fig2a, which has no level below the spectrum
     for name, e_lo, e_hi in (("fig3a", 0.12, 0.18), ("fig3a", -0.5, -0.01), ("fig2a", -1.5, 0.45)):
+        run = scenario_cache(name)
+        x = run.result.x
+        found = shooting_eigenvalue(run.result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])
+        assert found is None
+
+
+def test_shooting_ignores_bloch_vector_flips(scenario_cache):
+    # in these gaps of the order-2 Bloch partners a far-field cell's b01
+    # vanishes (at 1.70758 and 2.34607), where bloch_vectors' orientation
+    # flips the boundary vector; neither partner has a level there
+    for name, e_lo, e_hi in (("fig2c", 1.605, 2.895), ("fig2d", 2.305, 4.995)):
         run = scenario_cache(name)
         x = run.result.x
         found = shooting_eigenvalue(run.result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])

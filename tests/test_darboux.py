@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 import warnings
 
 import numpy as np
@@ -198,6 +199,53 @@ def test_transform_csv(soliton):
     row = lines[1].split(",")
     assert len(row) == 6
     assert row[5] == ""  # order 1: second kernel column empty
+
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e-300, 1.0 / 3.0, -2.5e-7)
+
+
+def _planted(values, shift):
+    out = np.array(values, dtype=float)
+    out[: len(SPECIAL)] = np.roll(SPECIAL, shift)
+    return out
+
+
+def _row_transform_csv(result):
+    # reference: the per-row f-string writer, as a list of lines
+    lines = ["x,V,V_partner,beta_or_alpha,psi_kernel_1,psi_kernel_2\n"]
+    k1 = result.kernel[0].psi if len(result.kernel) > 0 else None
+    k2 = result.kernel[1].psi if len(result.kernel) > 1 else None
+    for i, xi in enumerate(result.x):
+        row = [
+            f"{xi:.12g}",
+            f"{result.v_values[i]:.12g}",
+            f"{result.partner_values[i]:.12g}",
+            f"{result.intertwiner[i]:.12g}",
+            f"{k1[i]:.12g}" if k1 is not None else "",
+            f"{k2[i]:.12g}" if k2 is not None else "",
+        ]
+        lines.append(",".join(row) + "\n")
+    return lines
+
+
+def test_transform_csv_matches_row_writer(soliton, scenario_cache):
+    order2 = scenario_cache("fig1d").result
+    assert len(soliton.kernel) == 1 and len(order2.kernel) == 2
+    for result in (soliton, order2):
+        planted = dataclasses.replace(
+            result,
+            x=_planted(result.x, 0),
+            v_values=_planted(result.v_values, 1),
+            partner_values=_planted(result.partner_values, 2),
+            intertwiner=_planted(result.intertwiner, 3),
+            kernel=tuple(
+                dataclasses.replace(k, psi=_planted(k.psi, 4 + j)) for j, k in enumerate(result.kernel)
+            ),
+        )
+        for r in (result, planted, dataclasses.replace(planted, kernel=())):
+            buf = io.StringIO()
+            write_transform_csv(buf, r)
+            assert buf.getvalue().splitlines(keepends=True) == _row_transform_csv(r)
 
 
 def test_partner_tail_evaluation(scenario_cache):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susyband import floquet
 from susyband.elliptic import jacobi_sncndn
 from susyband.floquet import (
     band_edges,
@@ -594,3 +595,27 @@ def test_discriminant_csv_format():
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(0.1)
     assert first[2] in {"allowed_band", "gap", "band_edge_periodic", "band_edge_antiperiodic"}
+
+
+def _row_discriminant_csv(energies, ds):
+    # reference: the per-row f-string writer, as a list of lines, given D(E)
+    lines = ["E,D,class_tag\n"]
+    for e, d in zip(energies, ds):
+        tag = classify_discriminant(float(d)).tag
+        lines.append(f"{e:.12g},{d:.12g},{tag}\n")
+    return lines
+
+
+def test_discriminant_csv_matches_row_writer(monkeypatch):
+    energies = np.linspace(0.1, 2.0, 5)
+    buf = io.StringIO()
+    write_discriminant_csv(buf, FREE, energies)
+    expected = _row_discriminant_csv(energies, discriminants(FREE, energies))
+    assert buf.getvalue().splitlines(keepends=True) == expected
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e-300, 1.0 / 3.0]
+    energies = np.array(special + [2.0, -2.0, 1.5, 2.5])
+    ds = np.roll(energies, 3)
+    monkeypatch.setattr(floquet, "discriminants", lambda v, es: ds.copy())
+    buf = io.StringIO()
+    write_discriminant_csv(buf, FREE, energies)
+    assert buf.getvalue().splitlines(keepends=True) == _row_discriminant_csv(energies, ds)

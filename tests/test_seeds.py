@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import warnings
@@ -250,6 +251,35 @@ def test_seed_csv_format():
     assert len(lines) == len(seed.x) + 1
     cells = lines[1].split(",")
     assert len(cells) == 4
+
+
+def _row_seed_csv(seed):
+    # reference: the per-row f-string writer, as a list of lines (it did not
+    # silence an overflowing u'/u, which is blank all the same)
+    lines = ["x,u,u_prime,alpha\n"]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = seed.u_prime / seed.u
+    for x, u, up, a in zip(seed.x, seed.u, seed.u_prime, alpha):
+        a_txt = f"{a:.12g}" if np.isfinite(a) else ""
+        lines.append(f"{x:.12g},{u:.12g},{up:.12g},{a_txt}\n")
+    return lines
+
+
+def test_seed_csv_matches_row_writer():
+    seed, _ = bloch_seed(LAME1, -1.0, periods=2, samples_per_period=32)
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e-300, 1.0 / 3.0, -2.5e-7)
+    x, u, up = (np.array(a, dtype=float) for a in (seed.x, seed.u, seed.u_prime))
+    for column, shift in ((x, 0), (u, 1), (up, 2)):
+        column[: len(special)] = np.roll(special, shift)
+    u[20] = 0.0  # a node with a finite derivative: alpha is blank
+    assert (up[8], u[8]) == (1e300, -1e-300)  # u'/u overflows: blank too
+    planted = dataclasses.replace(seed, x=x, u=u, u_prime=up)
+    for s in (seed, planted):
+        buf = io.StringIO()
+        write_seed_csv(buf, s)
+        assert buf.getvalue().splitlines(keepends=True) == _row_seed_csv(s)
+    lines = buf.getvalue().split("\n")
+    assert lines[9].endswith(",") and lines[21].endswith(",")
 
 
 @pytest.mark.parametrize("periods", [15, 16])
