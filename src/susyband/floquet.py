@@ -15,8 +15,10 @@ forms each stage as one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
-classifier, the multipliers and Bloch eigenvectors read off the matrix, and
-the band-edge finder.
+classifier, and the multipliers and Bloch eigenvectors read off the matrix.
+The band edges come without the propagator, as the eigenvalues of the
+periodic and antiperiodic Hill matrices built from the Fourier coefficients
+of V (Hill's method).  That needs a smooth V; the discriminant serves any.
 """
 
 from __future__ import annotations
@@ -272,7 +274,6 @@ TAG_ALLOWED_BAND = "allowed_band"
 TAG_EDGE_PERIODIC = "band_edge_periodic"
 TAG_EDGE_ANTIPERIODIC = "band_edge_antiperiodic"
 TAG_GAP = "gap"
-_EDGE_KIND = {2.0: TAG_EDGE_PERIODIC, -2.0: TAG_EDGE_ANTIPERIODIC}
 
 
 @dataclass(frozen=True)
@@ -368,13 +369,10 @@ class BandStructure:
 
 #: cells per k-section sweep of a root bracket; each sweep gains log2 of it
 SECTIONS = 64
-#: grid points per sweep of an extremum search, and the number of sweeps
-_EXTREMUM_POINTS = 65
-_EXTREMUM_SWEEPS = 3
-#: relative tolerance of the coarse band-edge scan, and k-section sweeps per
-#: edge bracket (7 sweeps of 64 sections narrow a bracket by 2**-42)
-_SCAN_RTOL = 1e-8
-_EDGE_SWEEPS = 7
+#: Hill's method samples V at _HILL_SAMPLES points per period at first and
+#: doubles them, up to _HILL_MAX_SAMPLES (a 2049 x 2049 matrix)
+_HILL_SAMPLES = 64
+_HILL_MAX_SAMPLES = 2**12
 
 
 def ksection(g, lo, hi, s_lo, *, sweeps: int, width: float = 0.0):
@@ -406,133 +404,83 @@ def ksection(g, lo, hi, s_lo, *, sweeps: int, width: float = 0.0):
     return 0.5 * (lo + hi)
 
 
-def _grid_extrema(v, lo, hi, sign):
-    """Batched grid search for the maximum of sign_i * D on each [lo_i, hi_i].
+def _hill_eigenvalues(v, e_max):
+    """The periodic and the antiperiodic eigenvalues of -psi'' + V psi = E psi,
+    each ascending, by Hill's method (Deconinck & Kutz, J. Comput. Phys. 219
+    (2006) 296): the eigenvalues of the Hermitian matrices
+    H_jl = (mu + 2 pi j/T)^2 delta_jl + c_(j-l), |j|, |l| <= N/4, with mu = 0
+    and mu = pi/T.
 
-    Every sweep lays _EXTREMUM_POINTS points across each interval, evaluates
-    them all in one batch, and narrows each interval to the two cells around
-    its best point.  Returns the best energies and their D values, and D at
-    the original interval ends (which the first sweep includes).
+    The c_k are the Fourier coefficients of N samples of V over one period,
+    from one FFT.  N doubles until the coefficients from |k| = N/4 on are
+    below 1e-14 of the largest and the last mode's kinetic energy exceeds
+    4(|e_max| + max |c_k|), so that the eigenvalues up to e_max are resolved.
+    A ValueError names the test that still fails at _HILL_MAX_SAMPLES.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    sign = np.asarray(sign, dtype=float)[:, None]
-    frac = np.linspace(0.0, 1.0, _EXTREMUM_POINTS)
-    rows = np.arange(lo.size)
-    ends = None
-    for _ in range(_EXTREMUM_SWEEPS):
-        grid = lo[:, None] + (hi - lo)[:, None] * frac
-        d = discriminants(v, grid.ravel()).reshape(grid.shape)
-        if ends is None:
-            ends = d[:, 0], d[:, -1]
-        best = np.argmax(sign * d, axis=1)
-        e_best, d_best = grid[rows, best], d[rows, best]
-        lo = grid[rows, np.maximum(best - 1, 0)]
-        hi = grid[rows, np.minimum(best + 1, _EXTREMUM_POINTS - 1)]
-    return e_best, d_best, ends
+    period = _require_period(v)
+    n = _HILL_SAMPLES
+    while True:
+        c = np.fft.rfft(np.asarray(v(period * np.arange(n) / n), dtype=float)) / n
+        largest = float(np.max(np.abs(c)))
+        smooth = np.max(np.abs(c[n // 4:])) <= 1e-14 * largest
+        if smooth and (math.pi * n / (2.0 * period)) ** 2 > 4.0 * (abs(e_max) + largest):
+            break
+        if n == _HILL_MAX_SAMPLES:
+            cause = (
+                f"e_max = {e_max:g} needs more Fourier modes" if smooth else
+                "its Fourier series does not converge (a rough or singular potential)"
+            )
+            raise ValueError(
+                f"band_edges cannot resolve V at {n} samples per period: {cause}; "
+                "discriminants and classify still apply"
+            )
+        n *= 2
+    j = np.arange(-(n // 4), n // 4 + 1)
+    hill = np.concatenate((np.conj(c[:0:-1]), c))[j[:, None] - j[None, :] + n // 2]
+    return [
+        np.linalg.eigvalsh(hill + np.diag((mu + 2.0 * math.pi * j / period) ** 2))
+        for mu in (0.0, math.pi / period)
+    ]
 
 
-def band_edges(
-    v: Potential, e_min: float, e_max: float, *, scan_per_unit: float = 400.0
-) -> BandStructure:
-    """Locate all band edges (roots of D = +-2) inside [e_min, e_max].
+def band_edges(v: Potential, e_min: float, e_max: float) -> BandStructure:
+    """All band edges inside [e_min, e_max], and the touching points where a
+    gap has closed.
 
-    A coarse scan, ``scan_per_unit`` energies per unit at the loose
-    _SCAN_RTOL, brackets the sign changes of D -+ 2 and flags the interior
-    extrema of D within 0.05 of +-2.  All refinement runs at DEFAULT_RTOL,
-    and every refinement sweep is one batched ``discriminants`` call
-    covering all brackets or all extrema at once:
+    The edges are the periodic eigenvalues p_i and the antiperiodic ones a_i
+    (``_hill_eigenvalues``), read by index through the oscillation theorem
+    p0 < a0 <= a1 < p1 <= p2 < a2 <= a3 < ... (Magnus & Winkler, Hill's
+    Equation, 1966, ch. 2): the gaps are the same-kind pairs (a0, a1),
+    (p1, p2), (a2, a3), ...  Rounding can leave an edge a few ulps below the
+    one before it in that order; it is raised to that one, so ``edges`` is
+    nondecreasing.  A pair closer than 64 ulps of the largest eigenvalue is a
+    closed gap, one touching point at its midpoint, and counts as no edge.
 
-    * extrema are located by a grid search (three sweeps of 65 points, each
-      narrowing to the neighbours of the best point).  One within EDGE_TOL
-      of +-2 is a touching point, a closed gap where D is tangent to +-2;
-      touching points are reported separately and do not count as edges.
-      One beyond +-2 between two unbracketed scan cells yields a pair of
-      roots that slipped between scan points.
-    * each root bracket is narrowed by 64-fold k-section in _EDGE_SWEEPS
-      sweeps, to at most 2**-42 of a scan cell.
+    Hill's method needs a V that accepts arrays and is smooth, its Fourier
+    series converging fast.  A rough potential (a spline through a
+    square-wave table) or a singular one raises a ValueError;
+    ``discriminants`` and ``classify`` still serve it.
     """
     if not e_max > e_min:
         raise ValueError("need e_min < e_max")
-    n_scan = max(64, int(math.ceil((e_max - e_min) * scan_per_unit)))
-    es = np.linspace(e_min, e_max, n_scan + 1)
-    ds = discriminants(v, es, rtol=_SCAN_RTOL)
+    p, a = _hill_eigenvalues(v, e_max)
+    # edge i is eigenvalue i // 2 of the kind of gap (i + 1) // 2: p for even gaps
+    i = np.arange(2 * p.size - 1)
+    is_periodic = (i + 1) // 2 % 2 == 0
+    seq = np.maximum.accumulate(np.where(is_periodic, p[i // 2], a[i // 2]))
+    closed = seq[2::2] - seq[1::2] < 64.0 * np.spacing(max(p[-1], a[-1]))
+    keep = np.ones(seq.size, dtype=bool)
+    keep[1::2] = keep[2::2] = ~closed
+    keep &= (seq >= e_min) & (seq <= e_max)
+    touching = 0.5 * (seq[1::2] + seq[2::2])[closed]
 
-    roots: list[tuple[float, str]] = []
-    bracketed_cells: set[int] = set()
-    # (lo, hi, sign of D - target at lo, target) of every root bracket
-    brackets: list[tuple[float, float, float, float]] = []
-    for target in (2.0, -2.0):
-        g = ds - target
-        cells = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
-        bracketed_cells.update(int(i) for i in cells)
-        brackets.extend((es[i], es[i + 1], np.sign(g[i]), target) for i in cells)
-        roots.extend((float(es[i]), _EDGE_KIND[target]) for i in np.nonzero(g == 0.0)[0])
-
-    # Interior extrema near +-2: candidates for closed gaps (D tangent to
-    # +-2) or for a root pair that slipped between scan points.
-    touching: list[float] = []
-    slopes = np.diff(ds)
-    turning = np.nonzero(slopes[:-1] * slopes[1:] <= 0.0)[0] + 1
-    maximize = (slopes[turning - 1] > 0.0) | (
-        (slopes[turning - 1] == 0.0) & (slopes[turning] < 0.0)
-    )
-    ext_targets = np.where(maximize, 2.0, -2.0)
-    near = np.abs(ds[turning] - ext_targets) <= 0.05
-    turning, ext_targets = turning[near], ext_targets[near]
-    if turning.size:
-        e_ext, d_ext, (d_left, d_right) = _grid_extrema(
-            v, es[turning - 1], es[turning + 1], np.sign(ext_targets)
-        )
-        for i, target, e, d, d_lo, d_hi in zip(
-            turning.tolist(), ext_targets, e_ext, d_ext, d_left, d_right
-        ):
-            overshoot = (d - target) if target > 0.0 else (target - d)
-            if abs(d - target) <= EDGE_TOL:
-                touching.append(float(e))
-            elif overshoot > 0.0 and not ({i - 1, i} & bracketed_cells):
-                for lo, hi, g_lo, g_hi in (
-                    (es[i - 1], e, d_lo - target, d - target),
-                    (e, es[i + 1], d - target, d_hi - target),
-                ):
-                    if g_lo * g_hi < 0.0:
-                        brackets.append((lo, hi, np.sign(g_lo), target))
-
-    if brackets:
-        lo, hi, s_lo, targets = np.array(brackets).T
-
-        def g(e):
-            d = discriminants(v, e.ravel())
-            return d.reshape(e.shape) - targets[:, None]
-
-        refined = ksection(g, lo, hi, s_lo, sweeps=_EDGE_SWEEPS)
-        roots.extend((float(r), _EDGE_KIND[t]) for r, t in zip(refined, targets))
-
-    roots.sort(key=lambda rk: rk[0])
-    # collapse duplicates from adjacent brackets
-    deduped: list[tuple[float, str]] = []
-    for e, kind in roots:
-        if deduped and abs(e - deduped[-1][0]) < 1e-8 and kind == deduped[-1][1]:
-            continue
-        deduped.append((e, kind))
-
-    edges = tuple(e for e, _ in deduped)
-    kinds = tuple(k for _, k in deduped)
-    bands: list[tuple[float, float]] = []
-    gaps: list[tuple[float, float]] = []
-    for j in range(0, len(edges), 2):
-        if j + 1 < len(edges):
-            bands.append((edges[j], edges[j + 1]))
-        else:
-            bands.append((edges[j], float(e_max)))
-    for j in range(1, len(edges) - 1, 2):
-        gaps.append((edges[j], edges[j + 1]))
+    edges = tuple(seq[keep].tolist())
     return BandStructure(
         edges=edges,
-        kinds=kinds,
-        bands=tuple(bands),
-        gaps=tuple(gaps),
-        touching=tuple(sorted(touching)),
+        kinds=tuple(np.where(is_periodic, TAG_EDGE_PERIODIC, TAG_EDGE_ANTIPERIODIC)[keep].tolist()),
+        bands=tuple(zip(edges[::2], edges[1::2] + (float(e_max),))),
+        gaps=tuple(zip(edges[1::2], edges[2::2])),
+        touching=tuple(touching[(touching >= e_min) & (touching <= e_max)].tolist()),
         window=(float(e_min), float(e_max)),
     )
 
@@ -540,7 +488,13 @@ def band_edges(
 def write_discriminant_csv(stream, v, energies):
     """Emit an E, D(E), class_tag sweep as CSV (12 significant digits)."""
     energies = np.asarray(energies, dtype=float)
-    ds = discriminants(v, energies).tolist()
-    rows = [(e, d, classify_discriminant(d).tag) for e, d in zip(energies.tolist(), ds)]
+    ds = discriminants(v, energies)
+    # classify_discriminant's tags for all rows at once; NaN reads gap
+    tags = np.select(
+        [np.abs(ds - 2.0) <= EDGE_TOL, np.abs(ds + 2.0) <= EDGE_TOL, np.abs(ds) < 2.0],
+        [TAG_EDGE_PERIODIC, TAG_EDGE_ANTIPERIODIC, TAG_ALLOWED_BAND],
+        TAG_GAP,
+    )
+    rows = zip(energies.tolist(), ds.tolist(), tags.tolist())
     stream.write("E,D,class_tag\n")
-    stream.write(("%.12g,%.12g,%s\n" * len(rows)) % tuple(field for row in rows for field in row))
+    stream.write(("%.12g,%.12g,%s\n" * ds.size) % tuple(field for row in rows for field in row))

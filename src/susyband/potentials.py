@@ -91,9 +91,9 @@ class LamePotential(Potential):
         """Energy window (e_min, e_max) holding all 2n+1 band edges.
 
         The edges lie in (0, n(n+1)): V >= 0 bounds them below, the closed
-        forms bound them above for n <= 3, and the computed edges for n = 4, 5
-        (m from 0.1 to 0.97) agree.  The amplitude n(n+1)m bounds nothing:
-        the top edge lies above it.
+        forms bound them above for n <= 3, and for n <= 6 so do the finite
+        Lame-polynomial matrices that the tests check ``band_edges`` against.
+        The amplitude n(n+1)m bounds nothing: the top edge lies above it.
         """
         return -0.5, self.n * (self.n + 1) + 1.0
 

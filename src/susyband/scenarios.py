@@ -87,16 +87,10 @@ class ScenarioRun:
     result: TransformResult
 
 
-_BAND_CACHE: dict[tuple, floquet.BandStructure] = {}
-
-
 def band_structure_for(v: LamePotential) -> floquet.BandStructure:
     """Band structure of a Lame potential over its `band_window`, which holds
     all 2n+1 edges."""
-    key = (v.n, v.m)
-    if key not in _BAND_CACHE:
-        _BAND_CACHE[key] = floquet.band_edges(v, *v.band_window)
-    return _BAND_CACHE[key]
+    return floquet.band_edges(v, *v.band_window)
 
 
 def _wronskian_score(w, spp):

@@ -97,6 +97,22 @@ def test_states_emits_traces(tmp_path):
     assert (out / "seed_0.csv").exists()
 
 
+def test_bands_rough_potential_exit_3(tmp_path, capsys):
+    # a spline through a square wave has no converging Fourier series, so
+    # band_edges refuses it and names the cause
+    xs = [2.0 * i / 64 for i in range(65)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "potential": {
+            "kind": "tabulated", "x_lo": 0.0, "dx": xs[1], "period": 2.0, "tail": None,
+            "values": [1.0 if 0.5 < x < 1.5 else -1.0 for x in xs],
+        },
+        "e_min": -2.0, "e_max": 20.0,
+    }))
+    assert run(["bands", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "Fourier series does not converge" in capsys.readouterr().err
+
+
 def test_malformed_config_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susyband import floquet
+from susyband import bloch_seed, floquet, susy1
 from susyband.elliptic import jacobi_sncndn
 from susyband.floquet import (
     band_edges,
@@ -23,7 +24,13 @@ from susyband.floquet import (
     transfer_matrix,
     write_discriminant_csv,
 )
-from susyband.potentials import ConstantPotential, Potential, ShiftedPotential, lame
+from susyband.potentials import (
+    ConstantPotential,
+    Potential,
+    ShiftedPotential,
+    TabulatedPotential,
+    lame,
+)
 
 FREE = ConstantPotential(0.0, period=2.0)
 
@@ -432,6 +439,102 @@ def lame_edges_closed_form(n, m):
     return sorted(edges)
 
 
+def lame_edges_tridiagonal(n, m):
+    """The 2n+1 Lame band edges and their kinds, in the order p0, a0, a1, p1,
+    p2, a2, ... of the oscillation theorem, from finite matrices.
+
+    With N = n(n+1), -d^2 + N m sn^2 maps sn^p cn^b dn^e to
+    [-p(p-1) sn^(p-2) + ((p+b)^2 + m(p+e)^2) sn^p + m(N - r(r+1)) sn^(p+2)] cn^b dn^e,
+    r = p+b+e.  For each (a, b, e) in {0,1}^3 with n-a-b-e even and >= 0 the
+    basis sn^(a+2k) cn^b dn^e closes on a tridiagonal matrix; its eigenvalues
+    are periodic edges when a+b is even, antiperiodic ones otherwise.
+    """
+    found = {True: [], False: []}
+    for a, b, e in itertools.product((0, 1), repeat=3):
+        if a + b + e > n or (n - a - b - e) % 2:
+            continue
+        p = np.arange(a, n - b - e + 1, 2)
+        r = p + b + e
+        mat = np.diag((p + b) ** 2 + m * (p + e) ** 2.0)
+        mat += np.diag(-p[1:] * (p[1:] - 1.0), 1)
+        mat += np.diag(m * (n * (n + 1) - r[:-1] * (r[:-1] + 1.0)), -1)
+        found[(a + b) % 2 == 0].extend(np.linalg.eigvals(mat).real)
+    kinds = {True: "band_edge_periodic", False: "band_edge_antiperiodic"}
+    per = sorted(found[True])
+    edges, tags = [per[0]], [kinds[True]]
+    for g in range(1, n + 1):
+        edges.extend(sorted(found[g % 2 == 0])[g - 1 : g + 1])
+        tags.extend([kinds[g % 2 == 0]] * 2)
+    return edges, tags
+
+
+@pytest.mark.parametrize("m", [0.05, 0.2, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tridiagonal_oracle_matches_closed_form(n, m):
+    edges, _ = lame_edges_tridiagonal(n, m)
+    assert np.max(np.abs(np.sort(edges) - lame_edges_closed_form(n, m))) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0.05, 0.1, 0.3, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_band_edges_match_tridiagonal_oracle(n, m):
+    # every narrow gap open, no touching point below the top edge, and the
+    # edges in index order nondecreasing (the lowest band of (6, 0.99) is
+    # 3e-15 wide)
+    v = lame(n, m)
+    bs = band_edges(v, *v.band_window)
+    edges, kinds = lame_edges_tridiagonal(n, m)
+    assert len(bs.edges) == 2 * n + 1
+    assert list(bs.kinds) == kinds
+    assert np.max(np.abs(np.array(bs.edges) - edges)) < 1e-9
+    assert all(t > bs.edges[-1] for t in bs.touching)
+    assert all(a <= b for a, b in zip(bs.edges, bs.edges[1:]))
+
+
+@pytest.mark.parametrize("m", [0.05, 0.1, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_edges_on_discriminant(n, m):
+    # the integrator as an independent route: D = +2 at the periodic edges
+    # and -2 at the antiperiodic ones, to EDGE_TOL
+    v = lame(n, m)
+    bs = band_edges(v, *v.band_window)
+    target = np.where(np.array(bs.kinds) == "band_edge_periodic", 2.0, -2.0)
+    assert np.max(np.abs(discriminants(v, bs.edges) - target)) <= floquet.EDGE_TOL
+
+
+@pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_edges_of_bloch_partner(n, m):
+    # the partner of a growing Bloch seed keeps D(E), so its edges are the
+    # parent's; it is a spline table, and not even
+    v = lame(n, m)
+    partner = susy1(v, bloch_seed(v, -1.0)[0]).partner
+    assert not partner.even
+    bs = band_edges(partner, *v.band_window)
+    edges, kinds = lame_edges_tridiagonal(n, m)
+    assert list(bs.kinds) == kinds
+    assert np.max(np.abs(np.array(bs.edges) - edges)) < 1e-9
+
+
+def test_band_edges_closed_gaps_near_m_one():
+    # lame(1, 0.9999): one open gap, the closed ones above 1 + m are
+    # touching points, as for the free particle
+    v = lame(1, 0.9999)
+    bs = band_edges(v, *v.band_window)
+    assert np.max(np.abs(np.array(bs.edges) - (0.9999, 1.0, 1.9999))) < 1e-9
+    assert bs.touching and all(t > bs.edges[-1] for t in bs.touching)
+
+
+def test_band_edges_rough_potential_raises():
+    # a spline through a square wave: its Fourier coefficients fall like
+    # k^-4, not geometrically, so Hill's method cannot resolve it
+    x = np.linspace(0.0, 2.0, 65)
+    v = TabulatedPotential(0.0, x[1] - x[0], np.where((x > 0.5) & (x < 1.5), 1.0, -1.0), 2.0)
+    with pytest.raises(ValueError, match="Fourier series does not converge"):
+        band_edges(v, -2.0, 20.0)
+    assert classify(v, 30.0).tag in {"allowed_band", "gap"}
+
+
 @pytest.mark.parametrize("m", [0.2, 0.5, 0.9])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lame_edges_closed_form(lame_bands, n, m):
@@ -457,10 +560,9 @@ def test_transfer_matrices_backward_is_inverse():
         assert np.linalg.det(b) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_band_edges_root_pair_inside_scan_cells():
-    # the 7.9e-3 wide top gap of lame(2, 0.1) fits inside one 0.02 scan
-    # cell: no sign change on the scan, only an extremum of D beyond +2
-    bs = band_edges(lame(2, 0.1), -0.5, 7.0, scan_per_unit=50.0)
+def test_band_edges_narrow_top_gap():
+    # the top gap of lame(2, 0.1) is 7.9e-3 wide
+    bs = band_edges(lame(2, 0.1), -0.5, 7.0)
     assert len(bs.edges) == 5
     for found, want in zip(bs.edges, lame_edges_closed_form(2, 0.1)):
         assert found == pytest.approx(want, abs=1e-6)
@@ -475,10 +577,7 @@ def _counting(counts, name, fn):
 
 
 def test_band_edges_work_count(monkeypatch):
-    # every D evaluation goes through the batched path: one scan, at most
-    # three extremum sweeps and seven k-section sweeps
-    from susyband import floquet
-
+    # the edges are matrix eigenvalues: nothing is integrated
     counts = {"batches": 0, "single": 0}
     monkeypatch.setattr(
         floquet, "transfer_matrices", _counting(counts, "batches", floquet.transfer_matrices)
@@ -486,7 +585,7 @@ def test_band_edges_work_count(monkeypatch):
     monkeypatch.setattr(floquet, "propagate", _counting(counts, "single", floquet.propagate))
     bs = band_edges(lame(3, 0.5), -0.5, 13.0)
     assert len(bs.edges) == 7
-    assert counts["batches"] <= 12
+    assert counts["batches"] == 0
     assert counts["single"] == 0
 
 

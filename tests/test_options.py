@@ -10,7 +10,6 @@ import susyband
 OPTIONS = {
     "analysis.shooting_eigenvalue": ("x_lo", "x_hi"),
     "cli.run": ("argv",),
-    "floquet.band_edges": ("scan_per_unit",),
     "floquet.discriminants": ("rtol",),
     "floquet.ksection": ("sweeps", "width"),
     "floquet.propagate": ("samples",),
