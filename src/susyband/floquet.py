@@ -6,12 +6,13 @@ canonical columns (1,0) and (0,1) propagate together, so the result of one
 pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
 ride along in one adaptive integration since V(x) is shared between them,
 which is what makes dense discriminant sweeps cheap.  One loop,
-``_advance``, takes every step.  Its batch axis holds either energies or,
-for a sampled propagation at one energy, the cells between breakpoints:
-each cell starts from the identity, all cells share the step and one
-vector call of V per step, and the trace is their running product.  The
-tableau exists once, as the arrays _A, _B, _E and _C, and ``_dp5_step``
-forms each stage as one weighted sum over a preallocated stage buffer.
+``_advance``, takes every step.  Its batch holds energies, cells, or cells
+x energies: each cell starts from the identity, and all cells share the
+step and one vector call of V per step.  A sampled trace is the running
+product of its cells; a span longer than a period is the pairwise tree
+product of its one-period cells.  The tableau exists once, as the arrays
+_A, _B, _E and _C, and ``_dp5_step`` forms each stage as one weighted
+sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -105,23 +106,26 @@ def _dp5_step(k, vs, e, y, h: float):
 
 
 def _advance(v, e, x0, span: float, y, rtol: float):
-    """Adaptive DP5(4) advance of the batch y (its trailing axis) over s from
-    0 to span, either sign, at x = x0 + s; all columns share the step.
+    """Adaptive DP5(4) advance of the batch y (its axes after the first two)
+    over s from 0 to span, either sign, at x = x0 + s; all share the step.
 
     * A float x0 makes y an energy batch (`e` broadcasts against it), and
       `v` is called on scalars, once per stage abscissa.
-    * An array x0 makes y a batch of cells at one energy, column j from
-      x0[j], and `v` is called once per step on all stage abscissae.  On a
-      step underflow the column with the largest last error ratio (NaN as
-      inf) is blamed, once the columns before it ran on their own, so the
-      error names the first failure in x.
+    * An array x0 makes y a batch of cells, cell j from x0[j], of shape
+      (2, 2, n) at a float e or (2, 2, n, nE) at energies e of shape (nE,).
+      `v` is called once per step on all stage abscissae, its values
+      broadcast as (n, 1) against e.  On a step underflow the cell with the
+      largest last error ratio over its energies (NaN as inf) is blamed,
+      once the cells before it ran on their own, so the error names the
+      first failure in the order of x0.
     """
     if span == 0.0:
         return y
     cells = np.ndim(x0) > 0
     direction = 1.0 if span > 0 else -1.0
     s = 0.0
-    v_x = v(x0)
+    v_shape = np.shape(x0) + (1,) * (y.ndim - 3)
+    v_x = np.reshape(v(x0), v_shape) if cells else v(x0)
     k = np.empty((7,) + y.shape)
     _deriv_into(k[0], v_x, e, y)
     nodes = _C[1:].tolist()
@@ -138,15 +142,15 @@ def _advance(v, e, x0, span: float, y, rtol: float):
         x = x0 + s
         if abs(h) < floor:
             if cells:
-                last = np.max(ratios, axis=(0, 1))
+                last = np.max(ratios.reshape(4, x0.size, -1), axis=(0, 2))
                 j = int(np.argmax(np.where(np.isnan(last), np.inf, last)))
                 if j:
-                    _advance(v, e, x0[:j], span, y0[..., :j], rtol)
+                    _advance(v, e, x0[:j], span, y0[:, :, :j], rtol)
                 x = float(x[j])
             raise StiffIntegrationError("step size underflow in propagation", x)
 
         if cells:
-            vs = np.asarray(v((x + _C[1:, None] * h).ravel()), dtype=float).reshape(5, -1)
+            vs = np.asarray(v((x + _C[1:, None] * h).ravel()), dtype=float).reshape((5,) + v_shape)
         else:
             vs = [v(x + c * h) for c in nodes]
         y_new, err = _dp5_step(k, vs, e, y, h)
@@ -232,15 +236,29 @@ def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
 
     The potential is evaluated once per integrator stage for the entire
     batch, so a dense energy sweep costs barely more than a single solve.
+    A span of at most one period (any span if ``v.period`` is None) calls V
+    on scalars.  A longer one runs as n = ceil(|x1 - x0| / T) equal cells x
+    energies in one pass, multiplied as a pairwise tree (later cells on the
+    left), and needs a V that accepts arrays: one vector call per step.
     """
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1:
         raise ValueError("energies must be one-dimensional")
     if e.size == 0:
         return np.empty((0, 2, 2))
-    y0 = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, e.size)).copy()
-    y = _advance(v, e[None, :], x0, x1 - x0, y0, rtol)
-    return np.moveaxis(y, 2, 0)
+    span = x1 - x0
+    # the slack keeps 8 T plus rounding at 8 cells
+    n = 1 if v.period is None else max(1, math.ceil(abs(span) / v.period * (1.0 - 1e-9)))
+    if n == 1:
+        y0 = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, e.size)).copy()
+        return np.moveaxis(_advance(v, e[None, :], x0, span, y0, rtol), 2, 0)
+    y0 = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, n, e.size))
+    starts = x0 + np.arange(n) * span / n
+    ms = np.moveaxis(_advance(v, e, starts, span / n, y0, rtol), (2, 3), (0, 1))
+    while len(ms) > 1:
+        pairs = len(ms) // 2
+        ms = np.concatenate((ms[1 : 2 * pairs : 2] @ ms[: 2 * pairs : 2], ms[2 * pairs :]))
+    return ms[0]
 
 
 def _require_period(v: Potential) -> float:
@@ -255,7 +273,7 @@ def discriminant(v, energy) -> float:
     return float(discriminants(v, [energy])[0])
 
 
-def discriminants(v, energies, *, rtol=DEFAULT_RTOL):
+def discriminants(v, energies):
     """Batched discriminant sweep over an array of energies.
 
     An even potential (``v.even``) is integrated over half a period only:
@@ -264,9 +282,9 @@ def discriminants(v, energies, *, rtol=DEFAULT_RTOL):
     """
     period = _require_period(v)
     if v.even:
-        ms = transfer_matrices(v, energies, 0.0, 0.5 * period, rtol=rtol)
+        ms = transfer_matrices(v, energies, 0.0, 0.5 * period)
         return 2.0 * (ms[:, 0, 0] * ms[:, 1, 1] + ms[:, 0, 1] * ms[:, 1, 0])
-    ms = transfer_matrices(v, energies, 0.0, period, rtol=rtol)
+    ms = transfer_matrices(v, energies, 0.0, period)
     return ms[:, 0, 0] + ms[:, 1, 1]
 
 

@@ -560,6 +560,83 @@ def test_transfer_matrices_backward_is_inverse():
         assert np.linalg.det(b) == pytest.approx(1.0, abs=1e-9)
 
 
+def _chained(v, es, points, rtol):
+    m = np.eye(2)
+    for a, b in zip(points[:-1], points[1:]):
+        m = transfer_matrices(v, es, a, b, rtol=rtol) @ m
+    return m
+
+
+@pytest.mark.parametrize("n, m", [(1, 0.5), (2, 0.5), (3, 0.9)])
+def test_long_span_matches_chained_periods(n, m):
+    # a span over one period runs as a batch of one-period cells x energies;
+    # below the spectrum the matrices grow by orders of magnitude per period
+    v = lame(n, m)
+    t = v.period
+    es = np.linspace(-1.0, 0.0, 65)
+    for x0, x1, points in (
+        (-8 * t, 0.0, np.linspace(-8 * t, 0.0, 9)),
+        (8 * t, 0.0, np.linspace(8 * t, 0.0, 9)),
+        (0.0, 2.5 * t, [0.0, t, 2 * t, 2.5 * t]),
+    ):
+        long = transfer_matrices(v, es, x0, x1, rtol=1e-9)
+        chained = _chained(v, es, points, 1e-13)
+        err = np.max(np.abs(long - chained), axis=(1, 2)) / np.max(np.abs(chained), axis=(1, 2))
+        assert np.max(err) < 3e-8
+
+
+def test_long_span_pole_raises_first_in_x():
+    # a cell is blamed only once the cells before it ran on their own, so
+    # the error names the first pole in the direction of integration
+    from susyband.errors import StiffIntegrationError
+
+    class Poles(Potential):
+        period = 1.0
+
+        def __call__(self, x):
+            return 1.0 / (x - 2.41) + 1.0 / (x - 5.00037)
+
+    for x0, x1, where in ((0.0, 8.0, 2.41), (8.0, 0.0, 5.00037)):
+        with pytest.raises(StiffIntegrationError) as err:
+            transfer_matrices(Poles(), [0.0, 1.0], x0, x1)
+        assert err.value.x == pytest.approx(where, abs=1e-3)
+
+
+def test_long_span_work(monkeypatch, scenario_cache):
+    # fig3a's 8-period shooting leg is one pass of 8 cells x 65 energies,
+    # V called on vectors only, in at most twice the steps of one period
+    run = scenario_cache("fig3a")
+    partner, x = run.result.partner, run.result.x
+    es = np.linspace(-0.05, 0.05, 65)
+    counts = {"advance": 0}
+    monkeypatch.setattr(floquet, "_advance", _counting(counts, "advance", floquet._advance))
+    v = _Recording(partner)
+    transfer_matrices(v, es, x[0], 0.0, rtol=1e-9)
+    assert counts["advance"] == 1
+    assert not [c for c in v.calls if np.isscalar(c)]
+    one = _Recording(partner)
+    transfer_matrices(one, es, x[0], x[0] + partner.period, rtol=1e-9)
+    assert all(np.isscalar(c) for c in one.calls)
+    assert len(v.calls) - 1 <= 2 * (len(one.calls) - 1) / 5
+
+    # spans of at most one period (plus rounding: 0.4 + T lands an ulp past
+    # it) stay on scalar calls, and so does any span of a potential without
+    # a period
+    base = lame(2, 0.5)
+    t = base.period
+    assert (0.4 + t) - 0.4 > t
+    for x0, x1 in ((0.0, t), (t, 0.0), (0.4, 0.4 + t), (0.0, 0.5 * t)):
+        v = _Recording(base)
+        transfer_matrices(v, es, x0, x1)
+        assert all(np.isscalar(c) for c in v.calls)
+    v = _Recording(base)
+    v.period = None
+    counts["advance"] = 0
+    transfer_matrices(v, es, 0.0, 5 * t)
+    assert counts["advance"] == 1
+    assert all(np.isscalar(c) for c in v.calls)
+
+
 def test_band_edges_narrow_top_gap():
     # the top gap of lame(2, 0.1) is 7.9e-3 wide
     bs = band_edges(lame(2, 0.1), -0.5, 7.0)

@@ -10,7 +10,6 @@ import susyband
 OPTIONS = {
     "analysis.shooting_eigenvalue": ("x_lo", "x_hi"),
     "cli.run": ("argv",),
-    "floquet.discriminants": ("rtol",),
     "floquet.ksection": ("sweeps", "width"),
     "floquet.propagate": ("samples",),
     "floquet.transfer_matrices": ("rtol",),
