@@ -41,9 +41,10 @@ _FIT_STRIDE = 2
 _FIT_ITERS = 60
 #: bound on both invariance residuals (displacement and product variation)
 _INVARIANCE_TOL = 1e-4
-#: shooting: integrator rtol, and k-section sweeps after the first scan
+#: shooting: integrator rtol, energies of the first scan, width of the final bracket
 _SHOOTING_RTOL = 1e-9
-_SHOOTING_SWEEPS = 7
+_SHOOTING_SCAN = 65
+_SHOOTING_WIDTH = 1e-10
 
 
 def _matched_period(v: Potential, w: Potential) -> float:
@@ -243,6 +244,32 @@ def bound_states_in_gaps(
     return out
 
 
+def _itp_root(f, a, b, f_a, f_b, width, kappa1):
+    """Root of f on [a, b], f_a = f(a) <= 0 <= f_b = f(b), by ITP (Oliveira &
+    Takahashi, ACM TOMS 47 (2021) 5; kappa2 = 2, n0 = 1): each step evaluates
+    f once, strictly inside the bracket, at the regula falsi point moved
+    toward the midpoint by max(kappa1 (b - a)^2, width / 2) (the floor, as
+    Brent's smallest step, outlasts rounding) and projected into a ball about
+    the midpoint that shrinks like bisection's bracket.  Superlinear on a
+    smooth f, at most one step more than bisection on any f; returns the
+    midpoint once the bracket is no wider than ``width``.
+    """
+    n_max = max(0, math.ceil(math.log2(max(b - a, width) / width))) + 1
+    for j in range(n_max):
+        if b - a <= width:
+            break
+        mid = 0.5 * (a + b)
+        x_f = (f_b * a - f_a * b) / (f_b - f_a)
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = max(kappa1 * (b - a) ** 2, 0.5 * width)
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        r = 0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a)
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        y = f(x)
+        a, f_a, b, f_b = (x, y, b, f_b) if y < 0.0 else (a, f_a, x, y)
+    return 0.5 * (a + b)
+
+
 def shooting_eigenvalue(
     w: Potential,
     e_lo: float,
@@ -253,56 +280,56 @@ def shooting_eigenvalue(
 ) -> float | None:
     """Bound-state eigenvalue of -psi'' + w psi = E psi in [e_lo, e_hi].
 
-    Shoots from both window ends with decaying Bloch boundary data taken
-    from the outermost period of the window itself (the far field is
-    periodic there, and each end may converge to a differently displaced
-    copy) and compares the two solutions at x = 0, which every window
-    contains.  The mismatch is sin(theta) cos(theta) for the angle theta
-    from the left solution (psi, psi') to the right one, which no sign flip
-    of floquet.bloch_vectors changes.  theta increases with E (psi'/psi
-    falls with E for a solution decaying to the left and rises for one
-    decaying to the right), so the mismatch rises through zero where the
-    solutions are parallel (a level) and falls where they are perpendicular.
-    Every step evaluates it for a whole batch of energies at once: a first
-    sweep over floquet.SECTIONS + 1 points across [e_lo, e_hi] picks the
-    first rising sign change, and _SHOOTING_SWEEPS k-section sweeps narrow
-    it to 1e-10, or by at most 48 halvings.  Returns None when there is no
-    rising sign change.
+    Each evaluation integrates the window's n >= 2 whole periods from x_lo as
+    one-period cells in one ``floquet.cell_matrices`` pass.  The first and
+    last cells are the far field (each end may converge to a differently
+    displaced copy) and give decaying Bloch data at the window ends.  The
+    solutions meet at the middle cell boundary x_lo + (n // 2) T, x = 0 for a
+    ``seeds.window_grid`` window (the level does not depend on it): the left
+    cells carry the left data there, the adjugates of the right cells (their
+    inverses, exact for 2x2 of det 1) the right data.  The mismatch is
+    sin(theta) cos(theta) for the angle theta from the left (psi, psi') to
+    the right one, blind to sign flips of floquet.bloch_vectors.  theta
+    increases with E (psi'/psi falls with E for a solution decaying to the
+    left and rises for one decaying to the right), so the mismatch rises
+    through zero at a level and falls where the solutions are perpendicular.
+    A scan of _SHOOTING_SCAN energies picks the first rising sign change, and
+    ``_itp_root`` narrows it to _SHOOTING_WIDTH one energy at a time, with
+    kappa1 = 0.2 / (e_hi - e_lo), ITP's usual value for the whole interval
+    (the mismatch is close to linear on a scan cell).  Returns None when
+    there is no rising sign change.
     """
     period = float(w.period)
+    n = math.floor((x_hi - x_lo) / period + 1e-9)
+    if n < 2:
+        raise ValueError(f"shooting window [{x_lo:g}, {x_hi:g}] holds {max(n, 0)} whole "
+                         f"periods of {period:g}; it needs at least two, one per far field")
 
-    def matrices(e, x0, x1):
-        return floquet.transfer_matrices(w, e, x0, x1, rtol=_SHOOTING_RTOL)
-
-    def mismatch(es: np.ndarray) -> np.ndarray:
-        e = es.ravel()
-        # the outermost periods, left then right, as one batch
-        ms = np.concatenate((matrices(e, x_lo, x_lo + period), matrices(e, x_hi - period, x_hi)))
-        d = ms[:, 0, 0] + ms[:, 1, 1]
+    def mismatch(e: np.ndarray) -> np.ndarray:
+        cells = floquet.cell_matrices(w, e, x_lo, x_lo + n * period, rtol=_SHOOTING_RTOL)
+        far = np.concatenate((cells[0], cells[-1]))
+        d = far[:, 0, 0] + far[:, 1, 1]
         inside = np.abs(d) <= 2.0
         if inside.any():
-            raise ValueError(
-                f"shooting energy {np.tile(e, 2)[inside.argmax()]:.6g} is not in a "
-                "spectral gap of the far field"
-            )
+            raise ValueError(f"shooting energy {np.tile(e, 2)[inside.argmax()]:.6g} is not "
+                             "in a spectral gap of the far field")
         # the left data decay toward -inf (|beta| > 1), the right toward +inf
         grow = floquet.growing_multiplier(d)
         beta = np.concatenate((grow[: e.size], 1.0 / grow[e.size :]))
-        y_l, y_r = np.split(floquet.bloch_vectors(ms, beta), 2)
-        left = np.einsum("nij,nj->ni", matrices(e, x_lo, 0.0), y_l)
-        right = np.einsum("nij,nj->ni", matrices(e, x_hi, 0.0), y_r)
+        left, right = np.split(floquet.bloch_vectors(far, beta), 2)
+        for b in cells[: n // 2]:
+            left = np.einsum("nij,nj->ni", b, left)
+        for b in cells[n // 2 :][::-1]:  # adj [[p, q], [r, s]] = [[s, -q], [-r, p]]
+            right = np.einsum("nji,nj->ni", b[:, ::-1, ::-1] * [[1, -1], [-1, 1]], right)
         wronskian = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
         scale = np.sqrt(np.sum(left**2, axis=1) * np.sum(right**2, axis=1))
-        return (wronskian / scale * (np.sum(left * right, axis=1) / scale)).reshape(es.shape)
+        return wronskian / scale * (np.sum(left * right, axis=1) / scale)
 
-    es = np.linspace(float(e_lo), float(e_hi), floquet.SECTIONS + 1)
-    signs = np.sign(mismatch(es))
-    rising = np.nonzero(signs[:-1] < signs[1:])[0]
+    es = np.linspace(float(e_lo), float(e_hi), _SHOOTING_SCAN)
+    values = mismatch(es)
+    rising = np.nonzero(np.diff(np.sign(values)) > 0.0)[0]
     if rising.size == 0:
         return None
     i = int(rising[0])
-    found = floquet.ksection(
-        mismatch, es[i : i + 1], es[i + 1 : i + 2], signs[i : i + 1],
-        sweeps=_SHOOTING_SWEEPS, width=1e-10,
-    )
-    return float(found[0])
+    return float(_itp_root(lambda e: float(mismatch(np.array([e]))[0]), es[i], es[i + 1],
+                           values[i], values[i + 1], _SHOOTING_WIDTH, 0.2 / (e_hi - e_lo)))

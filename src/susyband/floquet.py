@@ -10,9 +10,9 @@ which is what makes dense discriminant sweeps cheap.  One loop,
 x energies: each cell starts from the identity, and all cells share the
 step and one vector call of V per step.  A sampled trace is the running
 product of its cells; a span longer than a period is the pairwise tree
-product of its one-period cells.  The tableau exists once, as the arrays
-_A, _B, _E and _C, and ``_dp5_step`` forms each stage as one weighted
-sum over a preallocated stage buffer.
+product of its one-period cells, ``cell_matrices``.  The tableau exists
+once, as the arrays _A, _B, _E and _C, and ``_dp5_step`` forms each stage
+as one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -42,6 +42,7 @@ __all__ = [
     "propagate",
     "transfer_matrix",
     "transfer_matrices",
+    "cell_matrices",
     "discriminant",
     "discriminants",
     "classify",
@@ -50,8 +51,6 @@ __all__ = [
     "growing_multiplier",
     "bloch_vectors",
     "band_edges",
-    "ksection",
-    "SECTIONS",
     "write_discriminant_csv",
 ]
 
@@ -129,7 +128,7 @@ def _advance(v, e, x0, span: float, y, rtol: float):
     k = np.empty((7,) + y.shape)
     _deriv_into(k[0], v_x, e, y)
     nodes = _C[1:].tolist()
-    y0, ratios = y, np.zeros(y.shape)
+    y0, ratios, bound = y, np.zeros(y.shape), np.empty(y.shape)  # error-test buffers
     floor = _H_FLOOR * max(1.0, float(np.max(np.abs(x0))) + abs(span))
 
     # First trial step from the local oscillation scale.
@@ -155,9 +154,9 @@ def _advance(v, e, x0, span: float, y, rtol: float):
             vs = [v(x + c * h) for c in nodes]
         y_new, err = _dp5_step(k, vs, e, y, h)
         y_new += y  # in place: the increment's array becomes y_new
-        scale = DEFAULT_ATOL + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        ratios = np.abs(err) / scale
-        err_norm = float(np.max(ratios))
+        np.maximum(np.abs(y, out=bound), np.abs(y_new, out=ratios), out=bound)
+        np.add(DEFAULT_ATOL, np.multiply(rtol, bound, out=bound), out=bound)
+        err_norm = float(np.max(np.divide(np.abs(err, out=ratios), bound, out=ratios)))
 
         if err_norm <= 1.0:
             s += h
@@ -229,32 +228,37 @@ def transfer_matrix(v, energy, x0, x1) -> TransferMatrix:
     return propagate(v, energy, x0, x1)[0]
 
 
-def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
-    """One-pass transfer matrices b(x1 <- x0) for a whole batch of energies;
-    shape (nE, 2, 2).  Either direction is allowed: with x1 < x0 the result
-    is the backward matrix, the inverse of b(x0 <- x1).
-
-    The potential is evaluated once per integrator stage for the entire
-    batch, so a dense energy sweep costs barely more than a single solve.
-    A span of at most one period (any span if ``v.period`` is None) calls V
-    on scalars.  A longer one runs as n = ceil(|x1 - x0| / T) equal cells x
-    energies in one pass, multiplied as a pairwise tree (later cells on the
-    left), and needs a V that accepts arrays: one vector call per step.
+def cell_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
+    """The n cells of the span x0 -> x1 (either direction) in one ``_advance``
+    pass, shape (n, nE, 2, 2): cell j is b(x0 + (j + 1) s <- x0 + j s) for
+    s = (x1 - x0) / n, n = ceil(|x1 - x0| / T) with a 1e-9 relative slack (8 T
+    plus rounding is 8 cells), n = 1 if ``v.period`` is None.  One cell calls
+    V on scalars; more cells share each step and one vector call of V.
     """
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1:
         raise ValueError("energies must be one-dimensional")
-    if e.size == 0:
-        return np.empty((0, 2, 2))
     span = x1 - x0
-    # the slack keeps 8 T plus rounding at 8 cells
     n = 1 if v.period is None else max(1, math.ceil(abs(span) / v.period * (1.0 - 1e-9)))
+    if e.size == 0:
+        return np.empty((n, 0, 2, 2))
     if n == 1:
         y0 = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, e.size)).copy()
-        return np.moveaxis(_advance(v, e[None, :], x0, span, y0, rtol), 2, 0)
+        return np.moveaxis(_advance(v, e[None, :], x0, span, y0, rtol), 2, 0)[None]
     y0 = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, n, e.size))
     starts = x0 + np.arange(n) * span / n
-    ms = np.moveaxis(_advance(v, e, starts, span / n, y0, rtol), (2, 3), (0, 1))
+    return np.moveaxis(_advance(v, e, starts, span / n, y0, rtol), (2, 3), (0, 1))
+
+
+def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
+    """Transfer matrices b(x1 <- x0) for a batch of energies, shape (nE, 2, 2);
+    with x1 < x0 the backward matrix, the inverse of b(x0 <- x1).  V is
+    evaluated once per stage for the whole batch, so a dense sweep costs
+    barely more than one solve.  The ``cell_matrices`` are multiplied as a
+    pairwise tree, later cells on the left; a span over one period needs a V
+    that accepts arrays.
+    """
+    ms = cell_matrices(v, energies, x0, x1, rtol=rtol)
     while len(ms) > 1:
         pairs = len(ms) // 2
         ms = np.concatenate((ms[1 : 2 * pairs : 2] @ ms[: 2 * pairs : 2], ms[2 * pairs :]))
@@ -385,41 +389,10 @@ class BandStructure:
         return None
 
 
-#: cells per k-section sweep of a root bracket; each sweep gains log2 of it
-SECTIONS = 64
 #: Hill's method samples V at _HILL_SAMPLES points per period at first and
 #: doubles them, up to _HILL_MAX_SAMPLES (a 2049 x 2049 matrix)
 _HILL_SAMPLES = 64
 _HILL_MAX_SAMPLES = 2**12
-
-
-def ksection(g, lo, hi, s_lo, *, sweeps: int, width: float = 0.0):
-    """Batched SECTIONS-fold k-section for roots of g on the brackets [lo_i, hi_i].
-
-    ``g`` maps an (n_brackets, SECTIONS - 1) array of energies, row i inside
-    bracket i, to the values of g there; it should evaluate them all in one
-    batch.  ``s_lo`` is the sign of g at each lo.  Each sweep evaluates the
-    interior section points of every bracket and keeps, per bracket, the
-    first cell whose right end no longer has the sign s_lo_i (the last cell
-    when none does).  Bracket ends are never evaluated again, so a root on a
-    section point, where the sign of g may depend on the batch, stays
-    bracketed.  Stops after ``sweeps`` sweeps, or once every bracket is
-    narrower than ``width``, and returns the bracket midpoints.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    s_lo = np.asarray(s_lo, dtype=float)[:, None]
-    frac = np.arange(1, SECTIONS) / SECTIONS
-    rows = np.arange(lo.size)
-    for _ in range(sweeps):
-        if np.all(hi - lo < width):
-            break
-        inner = lo[:, None] + (hi - lo)[:, None] * frac
-        flipped = np.sign(g(inner)) != s_lo
-        cell = np.where(flipped.any(axis=1), flipped.argmax(axis=1), SECTIONS - 1)
-        points = np.concatenate((lo[:, None], inner, hi[:, None]), axis=1)
-        lo, hi = points[rows, cell], points[rows, cell + 1]
-    return 0.5 * (lo + hi)
 
 
 def _hill_eigenvalues(v, e_max):

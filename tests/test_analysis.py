@@ -1,9 +1,14 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from susyband.analysis import (
+    _itp_root,
     _offset_errors,
     bound_states_in_gaps,
     compare_band_structure,
@@ -13,9 +18,9 @@ from susyband.analysis import (
 )
 from susyband.errors import BandEnergyError, PeriodMismatchError
 from susyband.darboux import susy1
-from susyband.floquet import discriminant
+from susyband.floquet import band_edges, discriminant, growing_multiplier
 from susyband.potentials import ConstantPotential, ShiftedPotential, lame
-from susyband.seeds import bloch_seed
+from susyband.seeds import bloch_seed, general_seed, nodeless_mixing
 
 LAME1 = lame(1, 0.5)
 LAME2 = lame(2, 0.5)
@@ -232,3 +237,144 @@ def test_shooting_ignores_bloch_vector_flips(scenario_cache):
         x = run.result.x
         found = shooting_eigenvalue(run.result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])
         assert found is None
+
+
+@lru_cache(maxsize=None)
+def _general_partner(n, m):
+    """The order-1 partner of lame(n, m) from a nodeless general seed 0.3
+    below the lowest edge, and that seed energy."""
+    v = lame(n, m)
+    eps = band_edges(v, -1.0, n * (n + 1) + 1.0).edges[0] - 0.3
+    return susy1(v, general_seed(v, eps, *nodeless_mixing(v, eps))), eps
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("m", [0.3, 0.5, 0.9])
+def test_shooting_returns_seed_energy(n, m):
+    # the level on a scan point, and 0.4 of a scan cell from one
+    result, eps = _general_partner(n, m)
+    x = result.x
+    for e_lo, e_hi in ((eps - 0.05, eps + 0.05), (eps - 0.04, eps + 0.06)):
+        found = shooting_eigenvalue(result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])
+        assert abs(found - eps) < 1e-8, (e_lo, e_hi)
+
+
+def test_shooting_level_does_not_depend_on_window():
+    result, eps = _general_partner(3, 0.5)
+    partner, x = result.partner, result.x
+    t = partner.period
+
+    def level(x_lo, x_hi):
+        return shooting_eigenvalue(partner, eps - 0.04, eps + 0.06, x_lo=x_lo, x_hi=x_hi)
+
+    base = level(x[0], x[-1])
+    assert level(-2 * t, 3 * t) == pytest.approx(base, abs=1e-8)
+    # 15 whole periods from 0.3 T past the window's start, matched at -0.7 T
+    assert level(x[0] + 0.3 * t, x[-1] - 0.2 * t) == pytest.approx(base, abs=1e-8)
+    with pytest.raises(ValueError, match="needs at least two"):
+        level(0.0, 1.9 * t)
+
+
+def _bracket_history(f, a, b):
+    """Wrap f to record, per evaluation, its point, the bracket before it,
+    and the bracket's width after it."""
+    history = []
+
+    def wrapped(e):
+        nonlocal a, b
+        y = f(e)
+        before = (a, b)
+        a, b = (e, b) if y < 0.0 else (a, e)
+        history.append((e, before, b - a))
+        return y
+
+    return wrapped, history
+
+
+def test_root_finder_never_evaluates_bracket_ends():
+    # the root sits on the first regula falsi point and on the midpoint.  In
+    # the first case the sign of f alternates within 1e-13 of it from call to
+    # call: a step that evaluated a bracket end again could see the bracket
+    # vanish.  In the second, f is 0 there, so the next regula falsi point is
+    # that bracket end, and with a tiny kappa1 only the width / 2 floor of
+    # the move keeps the step off it
+    for wobble, kappa1 in ((1e-13, 0.2), (1e-13, 1e-6), (0.0, 1e-6)):
+        calls = []
+
+        def f(e):
+            calls.append(e)
+            return e - 0.5 + wobble * (-1) ** len(calls)
+
+        g, history = _bracket_history(f, 0.0, 1.0)
+        found = _itp_root(g, 0.0, 1.0, -0.5, 0.5, 1e-10, kappa1)
+        assert abs(found - 0.5) <= 1e-10
+        assert all(isinstance(e, float) for e in calls)
+        assert len(set(calls)) == len(calls)
+        for e, (lo, hi), _ in history:
+            assert lo < e < hi
+
+
+def test_root_finder_stops_at_width():
+    # a straight line: the bracket first falls to the width at the last step
+    for width in (1e-6, 1e-12):
+        g, history = _bracket_history(lambda e: e - 0.3, 0.0, 1.0)
+        found = _itp_root(g, 0.0, 1.0, -0.3, 0.7, width, 0.2)
+        assert found == pytest.approx(0.3, abs=0.5 * width)
+        widths = [w for _, _, w in history]
+        assert widths[-1] <= width < min(widths[:-1], default=1.0)
+        assert len(history) < math.log2(1.0 / width)
+
+
+@pytest.mark.parametrize("root", [1e-3, 0.3, 0.5, 0.77, 1.0 - 1e-9])
+@pytest.mark.parametrize("high", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("kappa1", [0.2, 1e-6])
+def test_root_finder_worst_case_is_bisection_plus_one(root, high, kappa1):
+    # a step function defeats the interpolation: ITP still needs at most
+    # one evaluation more than bisection
+    g, history = _bracket_history(lambda e: -1.0 if e < root else high, 0.0, 1.0)
+    found = _itp_root(g, 0.0, 1.0, -1.0, high, 1e-10, kappa1)
+    assert len(history) <= math.ceil(math.log2(1.0 / 1e-10)) + 1
+    # up to the rounding of the bracket ends, which lie in [0, 1]
+    assert history[-1][2] <= 1e-10 + 8 * np.spacing(1.0)
+    assert abs(found - root) <= 1e-10
+
+
+def jacobi_zeta(u, m):
+    """Jacobi's zeta function Z(u|m) = E(am u|m) - E(m) u / K(m) (DLMF 22.16.32)."""
+    am = special.ellipj(u, m)[3]
+    return special.ellipeinc(am, m) - special.ellipe(m) / special.ellipk(m) * u
+
+
+def _hermite_eta(m, eps):
+    """eta in (0, K) with ns^2(eta|m) = 1 + m - eps, below the spectrum of
+    lame(1, m): Hermite's solution of parameter eta + iK' (Whittaker &
+    Watson, ch. 23)."""
+    return special.ellipkinc(math.asin(1.0 / math.sqrt(1.0 + m - eps)), m)
+
+
+_BELOW_LAME1 = st.tuples(
+    st.floats(0.05, 0.95), st.floats(0.0, 1.0)
+).map(lambda p: (p[0], -2.0 + p[1] * (p[0] - 1e-3 + 2.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(_BELOW_LAME1)
+def test_lame1_displacement_closed_form(m_eps):
+    # the partner from the growing Bloch seed is lame(1, m) displaced by 2K - eta
+    m, eps = m_eps
+    v = lame(1, m)
+    partner = susy1(v, bloch_seed(v, eps)[0]).partner
+    delta, _ = displacement_fit(v, partner)
+    assert delta == pytest.approx(2.0 * special.ellipk(m) - _hermite_eta(m, eps), abs=1e-10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_BELOW_LAME1)
+def test_lame1_decay_rate_closed_form(m_eps):
+    # log beta / T = Z(eta|m) + cn dn / sn (eta|m)
+    m, eps = m_eps
+    v = lame(1, m)
+    eta = _hermite_eta(m, eps)
+    sn, cn, dn, _ = special.ellipj(eta, m)
+    rate = math.log(growing_multiplier(discriminant(v, eps))) / v.period
+    assert rate == pytest.approx(jacobi_zeta(eta, m) + cn * dn / sn, abs=1e-8)

@@ -17,7 +17,6 @@ from susyband.floquet import (
     discriminant,
     discriminants,
     growing_multiplier,
-    ksection,
     multipliers_from_discriminant,
     propagate,
     transfer_matrices,
@@ -603,7 +602,7 @@ def test_long_span_pole_raises_first_in_x():
 
 
 def test_long_span_work(monkeypatch, scenario_cache):
-    # fig3a's 8-period shooting leg is one pass of 8 cells x 65 energies,
+    # an 8-period span of fig3a's partner is one pass of 8 cells x 65 energies,
     # V called on vectors only, in at most twice the steps of one period
     run = scenario_cache("fig3a")
     partner, x = run.result.partner, run.result.x
@@ -667,56 +666,64 @@ def test_band_edges_work_count(monkeypatch):
 
 
 def test_shooting_work_count(monkeypatch, scenario_cache):
-    # every sweep is four transfer_matrices batches (two far-field periods,
-    # two legs to the matching point); no energy is propagated on its own
-    from susyband import analysis, floquet
+    # each mismatch evaluation is one cell_matrices call, one integrator pass
+    # over the window's periods: a first scan of 65 energies, then at most 10
+    # single energies; shooting builds no transfer matrix
+    from susyband import analysis
 
     run = scenario_cache("fig3a")
-    counts = {"batches": 0, "advance": 0, "single": 0}
+    counts = {"advance": 0, "batches": 0, "single": 0}
+    sizes = []
+    cell_matrices = floquet.cell_matrices
+
+    def recording(v, energies, *args, **kwargs):
+        sizes.append(np.size(energies))
+        return cell_matrices(v, energies, *args, **kwargs)
+
+    monkeypatch.setattr(floquet, "cell_matrices", recording)
+    monkeypatch.setattr(floquet, "_advance", _counting(counts, "advance", floquet._advance))
     monkeypatch.setattr(
         floquet, "transfer_matrices", _counting(counts, "batches", floquet.transfer_matrices)
     )
-    monkeypatch.setattr(floquet, "_advance", _counting(counts, "advance", floquet._advance))
     monkeypatch.setattr(
         floquet, "transfer_matrix", _counting(counts, "single", floquet.transfer_matrix)
     )
     x = run.result.x
-    found = analysis.shooting_eigenvalue(run.result.partner, -0.05, 0.05, x_lo=x[0], x_hi=x[-1])
-    assert found == pytest.approx(0.0, abs=1e-3)
-    assert counts["batches"] <= 4 * math.ceil(48 / 6)
+    for e_lo, e_hi in ((-0.05, 0.05), (-0.5, 0.45)):
+        sizes.clear()
+        counts["advance"] = 0
+        found = analysis.shooting_eigenvalue(
+            run.result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1]
+        )
+        assert found == pytest.approx(0.0, abs=1e-3)
+        assert sizes[0] == 65
+        assert 1 < len(sizes) <= 1 + 10
+        assert set(sizes[1:]) == {1}
+        assert counts["advance"] == len(sizes)
+    assert counts["batches"] == 0
     assert counts["single"] == 0
-    # one integrator pass per batch, none called from analysis directly
-    assert counts["advance"] == counts["batches"]
 
 
-def test_ksection_keeps_sign_at_lo():
-    # the root sits on a section point, and within 1e-13 of it the sign of g
-    # alternates from call to call: a sweep that evaluated a bracket end
-    # again could see the bracket vanish
-    calls = []
-
-    def g(e):
-        calls.append(e.ravel().copy())
-        return e - 0.5 + 1e-13 * (-1) ** len(calls)
-
-    found = ksection(g, [0.0], [1.0], [-1.0], sweeps=6)
-    assert abs(found[0] - 0.5) <= 2.0**-36
-    assert all(c.size == 63 for c in calls)
-    evaluated = np.concatenate(calls)
-    assert np.unique(evaluated).size == evaluated.size
-    assert not np.isin([0.0, 1.0], evaluated).any()
-
-
-def test_ksection_stops_at_width():
-    calls = []
-
-    def g(e):
-        calls.append(e)
-        return e - 0.3
-
-    found = ksection(g, [0.0], [1.0], [-1.0], sweeps=8, width=1e-6)
-    assert len(calls) == 4  # 64**-3 > 1e-6 > 64**-4
-    assert found[0] == pytest.approx(0.3, abs=64.0**-4)
+def test_cell_matrices_are_the_periods_of_the_span():
+    # cell j of a span is the one-period matrix from x0 + j T, and
+    # transfer_matrices is their product; a span of one period is one cell
+    v = lame(2, 0.5)
+    t = v.period
+    es = np.linspace(-1.0, 3.0, 7)
+    counts = {"advance": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "_advance", _counting(counts, "advance", floquet._advance))
+        cells = floquet.cell_matrices(v, es, -t, 2 * t, rtol=1e-12)
+    assert counts["advance"] == 1
+    assert cells.shape == (3, 7, 2, 2)
+    for j, cell in enumerate(cells):
+        one = transfer_matrices(v, es, (j - 1) * t, j * t, rtol=1e-12)
+        assert np.max(np.abs(cell - one)) <= 1e-9 * np.max(np.abs(one))
+    product = cells[2] @ cells[1] @ cells[0]
+    whole = transfer_matrices(v, es, -t, 2 * t, rtol=1e-12)
+    assert np.max(np.abs(whole - product)) <= 1e-12 * np.max(np.abs(product))
+    assert floquet.cell_matrices(v, es, 0.0, t).shape == (1, 7, 2, 2)
+    assert floquet.cell_matrices(v, [], 0.0, -3 * t).shape == (3, 0, 2, 2)
 
 
 def test_band_edge_interlacing(lame_bands):

@@ -10,7 +10,7 @@ import susyband
 OPTIONS = {
     "analysis.shooting_eigenvalue": ("x_lo", "x_hi"),
     "cli.run": ("argv",),
-    "floquet.ksection": ("sweeps", "width"),
+    "floquet.cell_matrices": ("rtol",),
     "floquet.propagate": ("samples",),
     "floquet.transfer_matrices": ("rtol",),
     "scenarios.run_scenario": ("periods", "samples_per_period"),
