@@ -21,6 +21,7 @@ from .errors import (
     PeriodMismatchError,
     SingularTransformError,
 )
+from .numdiff import itp_root
 from .potentials import Potential
 from .seeds import bloch_seed
 
@@ -244,32 +245,6 @@ def bound_states_in_gaps(
     return out
 
 
-def _itp_root(f, a, b, f_a, f_b, width, kappa1):
-    """Root of f on [a, b], f_a = f(a) <= 0 <= f_b = f(b), by ITP (Oliveira &
-    Takahashi, ACM TOMS 47 (2021) 5; kappa2 = 2, n0 = 1): each step evaluates
-    f once, strictly inside the bracket, at the regula falsi point moved
-    toward the midpoint by max(kappa1 (b - a)^2, width / 2) (the floor, as
-    Brent's smallest step, outlasts rounding) and projected into a ball about
-    the midpoint that shrinks like bisection's bracket.  Superlinear on a
-    smooth f, at most one step more than bisection on any f; returns the
-    midpoint once the bracket is no wider than ``width``.
-    """
-    n_max = max(0, math.ceil(math.log2(max(b - a, width) / width))) + 1
-    for j in range(n_max):
-        if b - a <= width:
-            break
-        mid = 0.5 * (a + b)
-        x_f = (f_b * a - f_a * b) / (f_b - f_a)
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = max(kappa1 * (b - a) ** 2, 0.5 * width)
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        r = 0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a)
-        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
-        y = f(x)
-        a, f_a, b, f_b = (x, y, b, f_b) if y < 0.0 else (a, f_a, x, y)
-    return 0.5 * (a + b)
-
-
 def shooting_eigenvalue(
     w: Potential,
     e_lo: float,
@@ -294,8 +269,8 @@ def shooting_eigenvalue(
     left and rises for one decaying to the right), so the mismatch rises
     through zero at a level and falls where the solutions are perpendicular.
     A scan of _SHOOTING_SCAN energies picks the first rising sign change, and
-    ``_itp_root`` narrows it to _SHOOTING_WIDTH one energy at a time, with
-    kappa1 = 0.2 / (e_hi - e_lo), ITP's usual value for the whole interval
+    ``numdiff.itp_root`` narrows it to _SHOOTING_WIDTH one energy at a time,
+    with kappa1 = 0.2 / (e_hi - e_lo), ITP's usual value for the whole interval
     (the mismatch is close to linear on a scan cell).  Returns None when
     there is no rising sign change.
     """
@@ -331,5 +306,5 @@ def shooting_eigenvalue(
     if rising.size == 0:
         return None
     i = int(rising[0])
-    return float(_itp_root(lambda e: float(mismatch(np.array([e]))[0]), es[i], es[i + 1],
-                           values[i], values[i + 1], _SHOOTING_WIDTH, 0.2 / (e_hi - e_lo)))
+    return float(itp_root(lambda e: float(mismatch(np.array([e]))[0]), es[i], es[i + 1],
+                          values[i], values[i + 1], _SHOOTING_WIDTH, 0.2 / (e_hi - e_lo)))

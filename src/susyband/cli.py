@@ -92,6 +92,14 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _float(value, field: str) -> float:
+    """value as a float; a missing (None) or non-numeric one names the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field!r} must be a number, got {value!r}") from exc
+
+
 def _resolve_potential(args, config) -> Potential:
     if "potential" in config:
         try:
@@ -148,7 +156,10 @@ def cmd_bands(args, config, opts) -> int:
             e_min, e_max = v.band_window
         else:
             raise ConfigError("bands needs an energy window (--emin/--emax)")
-    bands = floquet.band_edges(v, float(e_min), float(e_max))
+    e_min, e_max = _float(e_min, "e_min"), _float(e_max, "e_max")
+    if not e_min < e_max:
+        raise ConfigError(f"'e_min' must be below 'e_max', got {e_min!r} and {e_max!r}")
+    bands = floquet.band_edges(v, e_min, e_max)
     out = _out_dir(args)
     _write_json(
         out / "edges.json",
@@ -163,7 +174,7 @@ def cmd_bands(args, config, opts) -> int:
             }
         ),
     )
-    sweep = np.linspace(float(e_min), float(e_max), args.sweep_points)
+    sweep = np.linspace(e_min, e_max, args.sweep_points)
     with (out / "discriminant.csv").open("w", newline="\n") as fh:
         floquet.write_discriminant_csv(fh, v, sweep)
     print(f"wrote {out / 'edges.json'} ({len(bands.edges)} edges)")
@@ -172,17 +183,22 @@ def cmd_bands(args, config, opts) -> int:
 
 
 def _transform_from_config(v, config, opts):
-    order = int(config.get("order", 1))
+    order = config.get("order", 1)
+    if order not in (1, 2):
+        raise ConfigError(f"'order' must be 1 or 2, got {order!r}")
     seed_kind = config.get("seed", "bloch")
 
     def one_seed(spec):
-        eps = float(spec["epsilon"])
+        if not isinstance(spec, dict):
+            raise ConfigError(f"a seed must be a JSON object, got {spec!r}")
+        eps = _float(spec.get("epsilon"), "epsilon")
         kind = spec.get("seed", seed_kind)
         if kind == "bloch":
             return bloch_seed(v, eps, **opts)[0]
         if kind == "general":
             if "c_plus" in spec:
-                return general_seed(v, eps, float(spec["c_plus"]), float(spec["c_minus"]), **opts)
+                c = _float(spec["c_plus"], "c_plus"), _float(spec.get("c_minus"), "c_minus")
+                return general_seed(v, eps, *c, **opts)
             mix = nodeless_mixing(v, eps, **{k: opts[k] for k in opts if k != "samples_per_period"})
             return general_seed(v, eps, *mix, **opts)
         raise ConfigError(f"unknown seed kind {kind!r}")
@@ -191,7 +207,7 @@ def _transform_from_config(v, config, opts):
         seed = one_seed(config)
         return susy1(v, seed)
     specs = config.get("seeds")
-    if not specs or len(specs) != 2:
+    if not isinstance(specs, list) or len(specs) != 2:
         raise ConfigError("order-2 transform config needs a two-element 'seeds' list")
     return susy2(v, one_seed(specs[0]), one_seed(specs[1]))
 
@@ -235,7 +251,7 @@ def cmd_invariance(args, config, opts) -> int:
     eps = args.epsilon if args.epsilon is not None else config.get("epsilon")
     if eps is None:
         raise ConfigError("invariance needs an epsilon (--epsilon or config)")
-    report = invariance_test(v, float(eps), **opts)
+    report = invariance_test(v, _float(eps, "epsilon"), **opts)
     out = _out_dir(args)
     _write_json(out / "invariance.json", _float_tree(report.to_dict()))
     print(f"wrote {out / 'invariance.json'} (verdict: {report.verdict})")
@@ -247,13 +263,14 @@ def cmd_states(args, config, opts) -> int:
     eps = args.epsilon if args.epsilon is not None else config.get("epsilon")
     if eps is None:
         raise ConfigError("states needs an epsilon (--epsilon or config)")
+    eps = _float(eps, "epsilon")
     c_plus = args.c_plus if args.c_plus is not None else config.get("c_plus")
     c_minus = args.c_minus if args.c_minus is not None else config.get("c_minus")
     if c_plus is not None or c_minus is not None:
-        seed = general_seed(v, float(eps), float(c_plus or 0.0), float(c_minus or 0.0), **opts)
-        seeds = [seed]
+        c = _float(c_plus or 0.0, "c_plus"), _float(c_minus or 0.0, "c_minus")
+        seeds = [general_seed(v, eps, *c, **opts)]
     else:
-        seeds = list(bloch_seed(v, float(eps), **opts))
+        seeds = list(bloch_seed(v, eps, **opts))
     out = _out_dir(args)
     names = []
     for i, seed in enumerate(seeds):

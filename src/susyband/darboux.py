@@ -28,7 +28,8 @@ from .errors import (
     SeedConsistencyError,
     SingularTransformError,
 )
-from .numdiff import BOUNDARY_CELLS, cell_max, derivative, local_max, second_derivative
+from .numdiff import (BOUNDARY_CELLS, cell_max, derivative, local_max, second_derivative,
+                      sign_changes)
 from .potentials import Potential, TabulatedPotential
 from .seeds import (
     KIND_GENERAL,
@@ -140,31 +141,28 @@ def _partner(seed, values, periodic, one_period, diagnostics):
     """The partner potential as a table, for a transform sampled on seed's window.
 
     ``one_period(xs, on_period)`` gives the partner on the one-period grid xs
-    from the seeds' (u, u') there, which ``on_period(s)`` supplies for each
-    seed s.  A periodic partner is that one-period table of the seeds
-    themselves.  Otherwise the partner is the window table ``values``, and
-    its tail beyond the window is the one-period partner of each seed's
-    dominant growing branch, to which the mixture converges pointwise at
-    +infinity (no displacement needed).  The asymptotic-period residual of
-    ``values`` and the closure or tail mismatches go into ``diagnostics``.
+    from the (u, u') there of each seed s's dominant growing branch,
+    ``on_period(s)``: a Bloch seed itself, the pointwise limit of a general
+    one at +infinity (no displacement needed).  A periodic partner is that
+    one-period table; any other is the window table ``values`` with that
+    tail.  The asymptotic-period residual of ``values`` and the closure or
+    tail mismatches go into ``diagnostics``.
     """
     period = seed.period
     spp = seed.samples_per_period
     diagnostics["asymptotic_period_residual"] = _asymptotic_period_residual(values, spp)
     xs = np.linspace(0.0, period, spp + 1)
+    vals = one_period(
+        xs, lambda s: max(s.branches, key=lambda cb: cb[1].growth_rate)[1].evaluate(xs)
+    )
+    table = TabulatedPotential(0.0, xs[1] - xs[0], vals, period)
     if periodic:
-        vals = one_period(xs, lambda s: s.evaluate(xs))
         diagnostics["periodic_closure_mismatch"] = float(abs(vals[-1] - vals[0]))
-        return TabulatedPotential(0.0, xs[1] - xs[0], vals, period)
-
-    def on_growing_branch(s):
-        return max(s.branches, key=lambda cb: cb[1].growth_rate)[1].evaluate(xs)
-
-    tail = TabulatedPotential(0.0, xs[1] - xs[0], one_period(xs, on_growing_branch), period)
+        return table
     x = seed.x
-    diagnostics["tail_mismatch_plus"] = float(np.max(np.abs(values[-spp:] - tail(x[-spp:]))))
-    diagnostics["tail_mismatch_minus"] = float(np.max(np.abs(values[:spp] - tail(x[:spp]))))
-    return TabulatedPotential(x[0], x[1] - x[0], values, period, tail=tail)
+    diagnostics["tail_mismatch_plus"] = float(np.max(np.abs(values[-spp:] - table(x[-spp:]))))
+    diagnostics["tail_mismatch_minus"] = float(np.max(np.abs(values[:spp] - table(x[:spp]))))
+    return TabulatedPotential(x[0], x[1] - x[0], values, period, tail=table)
 
 
 def _check_riccati(seed: SeedSolution):
@@ -259,7 +257,7 @@ def susy2(v: Potential, seed1: SeedSolution, seed2: SeedSolution) -> TransformRe
 
     # zero-freeness against a per-period local scale
     local = local_max(np.abs(w), spp)
-    sign_flips = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0.0)[0]
+    sign_flips = np.nonzero(sign_changes(w))[0]
     if sign_flips.size or np.any(np.abs(w) < 1e-12 * local):
         zeros = [0.5 * (x[i] + x[i + 1]) for i in sign_flips]
         raise SingularTransformError(

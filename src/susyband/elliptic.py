@@ -65,33 +65,24 @@ def complete_k(m: float) -> float:
     return math.pi / (2.0 * a_seq[-1])
 
 
-def _sncndn_reduced(y, m, a_seq, c_seq):
-    """sn, cn, dn at reduced arguments y in [0, K], an ndarray."""
+#: the ladder's functions: math for a float (numpy's per-call overhead on a
+#: Python float costs several times the arithmetic), numpy for an ndarray
+_MATH = (math.sin, math.cos, math.asin, math.sqrt)
+_NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt)
+
+
+def _sncndn_reduced(y, m, a_seq, c_seq, fns):
+    """sn, cn, dn at reduced arguments y in [0, K] by the functions fns; asin
+    needs no clip, as (c_i / a_i) sin(phi) rounds to at most c_i / a_i < 1."""
+    sin, cos, asin, sqrt = fns
     n = len(a_seq) - 1
     phi = math.ldexp(a_seq[n], n) * y
     for i in range(n, 0, -1):
-        ratio = c_seq[i] / a_seq[i]
-        phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
+        phi = 0.5 * (phi + asin(c_seq[i] / a_seq[i] * sin(phi)))
+    sn = sin(phi)
     # dn never vanishes for m < 1 (it is bounded below by sqrt(1-m)), so the
     # positive square root of the defining identity is the right branch.
-    dn = np.sqrt(1.0 - m * sn * sn)
-    return sn, cn, dn
-
-
-def _sncndn_reduced_scalar(y: float, m: float, a_seq, c_seq):
-    """The same ladder as `_sncndn_reduced` for one float, on `math` alone:
-    numpy's per-call overhead on Python floats costs several times the
-    arithmetic, and potentials are evaluated one point at a time inside the
-    integrator."""
-    n = len(a_seq) - 1
-    phi = math.ldexp(a_seq[n], n) * y
-    for i in range(n, 0, -1):
-        s = c_seq[i] / a_seq[i] * math.sin(phi)
-        phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, s))))
-    sn = math.sin(phi)
-    return sn, math.cos(phi), math.sqrt(1.0 - m * sn * sn)
+    return sn, cos(phi), sqrt(1.0 - m * sn * sn)
 
 
 def jacobi_sncndn(x, m: float):
@@ -125,27 +116,20 @@ def jacobi_sncndn(x, m: float):
 
     if scalar:
         y = float(x) % (4.0 * quarter)
-        sign_sn = 1.0
-        sign_cn = 1.0
+        sign_sn = sign_cn = 1.0
         if y >= 2.0 * quarter:
             y -= 2.0 * quarter
-            sign_sn = -1.0
-            sign_cn = -1.0
+            sign_sn = sign_cn = -1.0
         if y > quarter:
             y = 2.0 * quarter - y
             sign_cn = -sign_cn
-        sn, cn, dn = _sncndn_reduced_scalar(y, m, a_seq, c_seq)
+        sn, cn, dn = _sncndn_reduced(y, m, a_seq, c_seq, _MATH)
         return sign_sn * sn, sign_cn * cn, dn
 
     y = np.asarray(x, dtype=float) % (4.0 * quarter)
-    sign_sn = np.ones_like(y)
-    sign_cn = np.ones_like(y)
     upper = y >= 2.0 * quarter
     y = np.where(upper, y - 2.0 * quarter, y)
-    sign_sn[upper] = -1.0
-    sign_cn[upper] = -1.0
     mirror = y > quarter
     y = np.where(mirror, 2.0 * quarter - y, y)
-    sign_cn[mirror] = -sign_cn[mirror]
-    sn, cn, dn = _sncndn_reduced(y, m, a_seq, c_seq)
-    return sign_sn * sn, sign_cn * cn, dn
+    sn, cn, dn = _sncndn_reduced(y, m, a_seq, c_seq, _NUMPY)
+    return np.where(upper, -sn, sn), np.where(upper != mirror, -cn, cn), dn

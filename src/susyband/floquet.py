@@ -6,11 +6,11 @@ canonical columns (1,0) and (0,1) propagate together, so the result of one
 pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
 ride along in one adaptive integration since V(x) is shared between them,
 which is what makes dense discriminant sweeps cheap.  One loop,
-``_advance``, takes every step.  Its batch holds energies, cells, or cells
-x energies: each cell starts from the identity, and all cells share the
-step and one vector call of V per step.  A sampled trace is the running
-product of its cells; a span longer than a period is the pairwise tree
-product of its one-period cells, ``cell_matrices``.  The tableau exists
+``_advance``, takes every step of one cell pass, ``_cells``: cells x
+energies, each cell from the identity, all sharing the step and, for more
+than one cell, one vector call of V per step.  A sampled trace is the
+running product of its cells; a span longer than a period is the pairwise
+tree product of its one-period cells, ``cell_matrices``.  The tableau exists
 once, as the arrays _A, _B, _E and _C, and ``_dp5_step`` forms each stage
 as one weighted sum over a preallocated stage buffer.
 
@@ -105,26 +105,24 @@ def _dp5_step(k, vs, e, y, h: float):
 
 
 def _advance(v, e, x0, span: float, y, rtol: float):
-    """Adaptive DP5(4) advance of the batch y (its axes after the first two)
-    over s from 0 to span, either sign, at x = x0 + s; all share the step.
+    """Adaptive DP5(4) advance of the cells y, shape (2, 2, n, nE), over s from
+    0 to span, either sign: cell j runs at x = x0[j] + s at the energies e,
+    shape (nE,), and all share the step.
 
-    * A float x0 makes y an energy batch (`e` broadcasts against it), and
-      `v` is called on scalars, once per stage abscissa.
-    * An array x0 makes y a batch of cells, cell j from x0[j], of shape
-      (2, 2, n) at a float e or (2, 2, n, nE) at energies e of shape (nE,).
-      `v` is called once per step on all stage abscissae, its values
-      broadcast as (n, 1) against e.  On a step underflow the cell with the
-      largest last error ratio over its energies (NaN as inf) is blamed,
-      once the cells before it ran on their own, so the error names the
-      first failure in the order of x0.
+    One cell calls `v` on scalars, once per stage abscissa.  More cells make
+    one vector call per step on all stage abscissae, its values broadcast as
+    (n, 1) against e.  On a step underflow the cell with the largest last
+    error ratio over its energies (NaN as inf) is blamed, once the cells
+    before it ran on their own, so the error names the first failure in the
+    order of x0.
     """
     if span == 0.0:
         return y
-    cells = np.ndim(x0) > 0
+    one = x0.size == 1
+    start = float(x0[0]) if one else x0
     direction = 1.0 if span > 0 else -1.0
     s = 0.0
-    v_shape = np.shape(x0) + (1,) * (y.ndim - 3)
-    v_x = np.reshape(v(x0), v_shape) if cells else v(x0)
+    v_x = v(start) if one else np.reshape(v(x0), (-1, 1))
     k = np.empty((7,) + y.shape)
     _deriv_into(k[0], v_x, e, y)
     nodes = _C[1:].tolist()
@@ -138,9 +136,9 @@ def _advance(v, e, x0, span: float, y, rtol: float):
     while (span - s) * direction > 0.0:
         if abs(h) > abs(span - s):
             h = span - s
-        x = x0 + s
+        x = start + s
         if abs(h) < floor:
-            if cells:
+            if not one:
                 last = np.max(ratios.reshape(4, x0.size, -1), axis=(0, 2))
                 j = int(np.argmax(np.where(np.isnan(last), np.inf, last)))
                 if j:
@@ -148,10 +146,10 @@ def _advance(v, e, x0, span: float, y, rtol: float):
                 x = float(x[j])
             raise StiffIntegrationError("step size underflow in propagation", x)
 
-        if cells:
-            vs = np.asarray(v((x + _C[1:, None] * h).ravel()), dtype=float).reshape((5,) + v_shape)
-        else:
+        if one:
             vs = [v(x + c * h) for c in nodes]
+        else:
+            vs = np.asarray(v((x + _C[1:, None] * h).ravel()), dtype=float).reshape(5, -1, 1)
         y_new, err = _dp5_step(k, vs, e, y, h)
         y_new += y  # in place: the increment's array becomes y_new
         np.maximum(np.abs(y, out=bound), np.abs(y_new, out=ratios), out=bound)
@@ -199,11 +197,10 @@ def propagate(v: Potential, energy: float, x0: float, x1: float, samples: int | 
 
     With ``samples=n`` the interval is traversed through n+1 uniform
     breakpoints and the canonical-column matrices b(x_k <- x0) are recorded,
-    so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  One
-    ``_advance`` pass integrates every cell b(x_k <- x_{k-1}) from the
-    identity, and b_k is the running product of the cells.  That pass calls
-    ``v`` only on arrays, so it needs a vector-capable V; without
-    ``samples`` V is called on scalars.
+    so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  The
+    cells b(x_k <- x_{k-1}) come from one cell pass, and b_k is their
+    running product; for n > 1 that pass calls ``v`` only on arrays, so it
+    needs a vector-capable V.  Without ``samples`` V is called on scalars.
 
     Returns (TransferMatrix, trace) where trace is None or an array of shape
     (n+1, 2, 2).
@@ -213,10 +210,7 @@ def propagate(v: Potential, energy: float, x0: float, x1: float, samples: int | 
     if samples is None:
         y = transfer_matrices(v, [energy], x0, x1)[0]
         return TransferMatrix(y, x0, x1, float(energy)), None
-    starts = np.linspace(x0, x1, samples + 1)[:-1]
-    eye = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, samples))
-    span = (x1 - x0) / samples
-    cells = np.moveaxis(_advance(v, float(energy), starts, span, eye, DEFAULT_RTOL), 2, 0)
+    cells = _cells(v, np.array([float(energy)]), x0, x1, samples, DEFAULT_RTOL)[:, 0]
     trace = np.empty((samples + 1, 2, 2))
     trace[0] = np.eye(2)
     for i, cell in enumerate(cells, 1):
@@ -228,26 +222,28 @@ def transfer_matrix(v, energy, x0, x1) -> TransferMatrix:
     return propagate(v, energy, x0, x1)[0]
 
 
+def _cells(v, e, x0, x1, n, rtol):
+    """The n equal cells b(x0 + (j + 1) s <- x0 + j s), s = (x1 - x0) / n, at
+    the energies e in one ``_advance`` pass, shape (n, nE, 2, 2)."""
+    span = x1 - x0
+    eye = np.eye(2)[:, :, None, None] * np.ones((n, e.size))
+    y = _advance(v, e, x0 + np.arange(n) * span / n, span / n, eye, rtol)
+    return np.moveaxis(y, (2, 3), (0, 1))
+
+
 def cell_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
-    """The n cells of the span x0 -> x1 (either direction) in one ``_advance``
-    pass, shape (n, nE, 2, 2): cell j is b(x0 + (j + 1) s <- x0 + j s) for
+    """The n cells of the span x0 -> x1 (either direction) in one cell pass,
+    shape (n, nE, 2, 2): cell j is b(x0 + (j + 1) s <- x0 + j s) for
     s = (x1 - x0) / n, n = ceil(|x1 - x0| / T) with a 1e-9 relative slack (8 T
     plus rounding is 8 cells), n = 1 if ``v.period`` is None.  One cell calls
-    V on scalars; more cells share each step and one vector call of V.
-    """
+    V on scalars; more cells share each step and one vector call of V."""
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1:
         raise ValueError("energies must be one-dimensional")
-    span = x1 - x0
-    n = 1 if v.period is None else max(1, math.ceil(abs(span) / v.period * (1.0 - 1e-9)))
+    n = 1 if v.period is None else max(1, math.ceil(abs(x1 - x0) / v.period * (1.0 - 1e-9)))
     if e.size == 0:
         return np.empty((n, 0, 2, 2))
-    if n == 1:
-        y0 = np.broadcast_to(np.eye(2)[:, :, None], (2, 2, e.size)).copy()
-        return np.moveaxis(_advance(v, e[None, :], x0, span, y0, rtol), 2, 0)[None]
-    y0 = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, n, e.size))
-    starts = x0 + np.arange(n) * span / n
-    return np.moveaxis(_advance(v, e, starts, span / n, y0, rtol), (2, 3), (0, 1))
+    return _cells(v, e, x0, x1, n, rtol)
 
 
 def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
@@ -345,13 +341,21 @@ def bloch_vectors(ms, beta):
     return vec
 
 
+def _tags(d):
+    """The |D| trichotomy, one tag per discriminant in d: a periodic or
+    antiperiodic edge within EDGE_TOL of +2 or -2, else a band if |D| < 2,
+    else (NaN too) a gap."""
+    d = np.asarray(d, dtype=float)
+    return np.select([np.abs(d - 2.0) <= EDGE_TOL, np.abs(d + 2.0) <= EDGE_TOL, np.abs(d) < 2.0],
+                     [TAG_EDGE_PERIODIC, TAG_EDGE_ANTIPERIODIC, TAG_ALLOWED_BAND], TAG_GAP)
+
+
+_EDGE_MULTIPLIERS = {TAG_EDGE_PERIODIC: (1.0, 1.0), TAG_EDGE_ANTIPERIODIC: (-1.0, -1.0)}
+
+
 def classify_discriminant(d: float) -> EnergyClass:
-    if abs(d - 2.0) <= EDGE_TOL:
-        return EnergyClass(TAG_EDGE_PERIODIC, d, (1.0, 1.0))
-    if abs(d + 2.0) <= EDGE_TOL:
-        return EnergyClass(TAG_EDGE_ANTIPERIODIC, d, (-1.0, -1.0))
-    tag = TAG_ALLOWED_BAND if abs(d) < 2.0 else TAG_GAP
-    return EnergyClass(tag, d, multipliers_from_discriminant(d))
+    tag = _tags(d).item()
+    return EnergyClass(tag, d, _EDGE_MULTIPLIERS.get(tag) or multipliers_from_discriminant(d))
 
 
 def classify(v, energy) -> EnergyClass:
@@ -480,12 +484,6 @@ def write_discriminant_csv(stream, v, energies):
     """Emit an E, D(E), class_tag sweep as CSV (12 significant digits)."""
     energies = np.asarray(energies, dtype=float)
     ds = discriminants(v, energies)
-    # classify_discriminant's tags for all rows at once; NaN reads gap
-    tags = np.select(
-        [np.abs(ds - 2.0) <= EDGE_TOL, np.abs(ds + 2.0) <= EDGE_TOL, np.abs(ds) < 2.0],
-        [TAG_EDGE_PERIODIC, TAG_EDGE_ANTIPERIODIC, TAG_ALLOWED_BAND],
-        TAG_GAP,
-    )
-    rows = zip(energies.tolist(), ds.tolist(), tags.tolist())
+    rows = zip(energies.tolist(), ds.tolist(), _tags(ds).tolist())
     stream.write("E,D,class_tag\n")
     stream.write(("%.12g,%.12g,%s\n" * ds.size) % tuple(field for row in rows for field in row))

@@ -1,4 +1,5 @@
-"""High-order finite differences on uniform grids.
+"""High-order finite differences on uniform grids, the sign changes of
+sampled data, and a bracketing root finder.
 
 Sixth-order central stencils in the interior; the three cells at each end
 fall back to second-order one-sided estimates.  Callers that need full
@@ -7,9 +8,12 @@ accuracy mask the boundary cells (every use in this package does).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["derivative", "second_derivative", "cell_max", "local_max", "BOUNDARY_CELLS"]
+__all__ = ["derivative", "second_derivative", "cell_max", "local_max", "sign_changes",
+           "itp_root", "BOUNDARY_CELLS"]
 
 BOUNDARY_CELLS = 3
 
@@ -64,3 +68,37 @@ def local_max(a, spp: int) -> np.ndarray:
     cells takes the later cell's value."""
     top = cell_max(a, spp)
     return np.append(np.repeat(top, spp, axis=-1), top[..., -1:], axis=-1)
+
+
+def sign_changes(a) -> np.ndarray:
+    """Whether neighbours along the last axis of a have opposite signs, shape
+    (..., n - 1); a zero or NaN sample changes no sign.  Only comparisons,
+    so no product of samples can overflow."""
+    neg, pos = a < 0.0, a > 0.0
+    return (neg[..., :-1] & pos[..., 1:]) | (pos[..., :-1] & neg[..., 1:])
+
+
+def itp_root(f, a, b, f_a, f_b, width, kappa1):
+    """Root of f on [a, b], f_a = f(a) <= 0 <= f_b = f(b), by ITP (Oliveira &
+    Takahashi, ACM TOMS 47 (2021) 5; kappa2 = 2, n0 = 1): each step evaluates
+    f once, strictly inside the bracket, at the regula falsi point moved
+    toward the midpoint by max(kappa1 (b - a)^2, width / 2) (the floor, as
+    Brent's smallest step, outlasts rounding) and projected into a ball about
+    the midpoint that shrinks like bisection's bracket.  Superlinear on a
+    smooth f, at most one step more than bisection on any f; returns the
+    midpoint once the bracket is no wider than ``width``.
+    """
+    n_max = max(0, math.ceil(math.log2(max(b - a, width) / width))) + 1
+    for j in range(n_max):
+        if b - a <= width:
+            break
+        mid = 0.5 * (a + b)
+        x_f = (f_b * a - f_a * b) / (f_b - f_a)
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = max(kappa1 * (b - a) ** 2, 0.5 * width)
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        r = 0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a)
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        y = f(x)
+        a, f_a, b, f_b = (x, y, b, f_b) if y < 0.0 else (a, f_a, x, y)
+    return 0.5 * (a + b)

@@ -257,6 +257,8 @@ class ShiftedPotential(Potential):
 
 def potential_from_dict(doc: dict) -> Potential:
     """Rebuild a potential from its JSON document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a potential document must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "lame":
         return LamePotential(doc["n"], doc["m"])

@@ -19,11 +19,10 @@ from functools import partial
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import floquet
 from .errors import BandEnergyError, SingularSeedError, WindowOverflowError
-from .numdiff import BOUNDARY_CELLS, derivative, local_max
+from .numdiff import BOUNDARY_CELLS, derivative, itp_root, local_max, sign_changes
 from .potentials import DEFAULT_SAMPLES_PER_PERIOD, Potential
 
 __all__ = [
@@ -198,23 +197,23 @@ def bloch_branches(
 
 
 def _count_nodes(x, u, samples_per_period, evaluate):
-    """Sign-change nodes refined by bisection, plus grazing near-zeros.
+    """Sign-change nodes refined by ``itp_root`` to 1e-12, plus grazing
+    near-zeros, as floats.
 
     The zero threshold is local (per period cell), since a seed can span
     fifteen orders of magnitude across the window.
     """
     local_scale = local_max(np.abs(u), samples_per_period)
+    kappa1 = 0.2 / float(x[-1] - x[0])
     nodes = []
-    for i in np.nonzero(np.sign(u[:-1]) * np.sign(u[1:]) < 0.0)[0]:
-        nodes.append(brentq(lambda t: evaluate(t)[0], x[i], x[i + 1], xtol=1e-12))
-    exact = np.nonzero(u[:-1] == 0.0)[0]
-    nodes.extend(float(x[i]) for i in exact)
-    grazing = []
-    near = np.abs(u) < 1e-12 * local_scale
-    near[np.nonzero(u == 0.0)] = False
-    for i in np.nonzero(near)[0]:
-        grazing.append(float(x[i]))
-    return sorted(nodes), tuple(grazing)
+    for i in np.nonzero(sign_changes(u))[0]:
+        a, b, u_a, u_b = float(x[i]), float(x[i + 1]), float(u[i]), float(u[i + 1])
+        s = math.copysign(1.0, u_b)  # s u rises through the node
+        nodes.append(itp_root(lambda t: s * float(evaluate(t)[0]), a, b,
+                              s * u_a, s * u_b, 1e-12, kappa1))
+    nodes.extend(x[:-1][u[:-1] == 0.0].tolist())
+    grazing = x[(np.abs(u) < 1e-12 * local_scale) & (u != 0.0)]
+    return sorted(nodes), tuple(grazing.tolist())
 
 
 def _riccati_residual(x, u, up, v_values, epsilon, samples_per_period):
@@ -230,7 +229,7 @@ def _riccati_residual(x, u, up, v_values, epsilon, samples_per_period):
     local_scale = local_max(np.abs(u), samples_per_period)
     safe = np.abs(u) > 1e-3 * local_scale
     margin = max(BOUNDARY_CELLS + 1, samples_per_period // 16)
-    for i in np.nonzero((np.sign(u[:-1]) * np.sign(u[1:]) < 0.0) | (u[:-1] == 0.0))[0]:
+    for i in np.nonzero(sign_changes(u) | (u[:-1] == 0.0))[0]:
         safe[max(0, i - margin) : i + margin + 2] = False
     # a node just past the window edge would contaminate FD near the ends
     safe[:margin] = False
@@ -373,8 +372,8 @@ def node_scan(
     thetas = np.arange(scan_resolution) * (math.pi / scan_resolution)
     counts = []
     for block in np.split(thetas, np.arange(_SCAN_BLOCK, scan_resolution, _SCAN_BLOCK)):
-        signs = np.sign(np.cos(block)[:, None] * u_grow + np.sin(block)[:, None] * u_decay)
-        counts.extend((signs[:, :-1] * signs[:, 1:] < 0.0).sum(axis=1))
+        mixtures = np.cos(block)[:, None] * u_grow + np.sin(block)[:, None] * u_decay
+        counts.extend(sign_changes(mixtures).sum(axis=1))
     out = []
     for theta, count in zip(thetas, counts):
         ratio = math.inf if abs(theta - 0.5 * math.pi) < 1e-12 else math.tan(theta)
@@ -395,22 +394,16 @@ def nodeless_mixing(
     whose Bloch solutions carry nodes).
     """
     scan = node_scan(v, epsilon, scan_resolution, **kwargs)
-    zero = [i for i, (_, count) in enumerate(scan) if count == 0]
-    if not zero:
+    nodeless = np.array([count == 0 for _, count in scan])
+    if not nodeless.any():
         raise SingularSeedError(
             f"no nodeless mixing exists at epsilon = {epsilon:.6g}"
         )
-    runs = []
-    start = zero[0]
-    prev = zero[0]
-    for i in zero[1:]:
-        if i != prev + 1:
-            runs.append((start, prev))
-            start = i
-        prev = i
-    runs.append((start, prev))
-    best = max(runs, key=lambda r: r[1] - r[0])
-    mid = 0.5 * (best[0] + best[1]) * math.pi / len(scan)
+    # runs of nodeless angles: where the zero-padded flags step up, and down
+    steps = np.diff(np.concatenate(([0], nodeless.astype(int), [0])))
+    starts, ends = np.nonzero(steps > 0)[0], np.nonzero(steps < 0)[0] - 1
+    best = int(np.argmax(ends - starts))  # the first longest run
+    mid = 0.5 * (int(starts[best]) + int(ends[best])) * math.pi / len(scan)
     return math.cos(mid), math.sin(mid)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import special
 
 from susyband.analysis import (
-    _itp_root,
     _offset_errors,
     bound_states_in_gaps,
     compare_band_structure,
@@ -19,6 +18,7 @@ from susyband.analysis import (
 from susyband.errors import BandEnergyError, PeriodMismatchError
 from susyband.darboux import susy1
 from susyband.floquet import band_edges, discriminant, growing_multiplier
+from susyband.numdiff import itp_root
 from susyband.potentials import ConstantPotential, ShiftedPotential, lame
 from susyband.seeds import bloch_seed, general_seed, nodeless_mixing
 
@@ -306,7 +306,7 @@ def test_root_finder_never_evaluates_bracket_ends():
             return e - 0.5 + wobble * (-1) ** len(calls)
 
         g, history = _bracket_history(f, 0.0, 1.0)
-        found = _itp_root(g, 0.0, 1.0, -0.5, 0.5, 1e-10, kappa1)
+        found = itp_root(g, 0.0, 1.0, -0.5, 0.5, 1e-10, kappa1)
         assert abs(found - 0.5) <= 1e-10
         assert all(isinstance(e, float) for e in calls)
         assert len(set(calls)) == len(calls)
@@ -318,7 +318,7 @@ def test_root_finder_stops_at_width():
     # a straight line: the bracket first falls to the width at the last step
     for width in (1e-6, 1e-12):
         g, history = _bracket_history(lambda e: e - 0.3, 0.0, 1.0)
-        found = _itp_root(g, 0.0, 1.0, -0.3, 0.7, width, 0.2)
+        found = itp_root(g, 0.0, 1.0, -0.3, 0.7, width, 0.2)
         assert found == pytest.approx(0.3, abs=0.5 * width)
         widths = [w for _, _, w in history]
         assert widths[-1] <= width < min(widths[:-1], default=1.0)
@@ -332,7 +332,7 @@ def test_root_finder_worst_case_is_bisection_plus_one(root, high, kappa1):
     # a step function defeats the interpolation: ITP still needs at most
     # one evaluation more than bisection
     g, history = _bracket_history(lambda e: -1.0 if e < root else high, 0.0, 1.0)
-    found = _itp_root(g, 0.0, 1.0, -1.0, high, 1e-10, kappa1)
+    found = itp_root(g, 0.0, 1.0, -1.0, high, 1e-10, kappa1)
     assert len(history) <= math.ceil(math.log2(1.0 / 1e-10)) + 1
     # up to the rounding of the bracket ends, which lie in [0, 1]
     assert history[-1][2] <= 1e-10 + 8 * np.spacing(1.0)

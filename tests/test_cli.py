@@ -119,6 +119,29 @@ def test_malformed_config_exit_2(tmp_path):
     assert run(["bands", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+_LAME1 = {"kind": "lame", "n": 1, "m": 0.5}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("bands", {"potential": 5}, "potential"),
+    ("bands", {"potential": {"kind": "shifted", "delta": 0.1, "base": [1]}}, "potential"),
+    ("bands", {"potential": {"kind": "tabulated", "x_lo": 0.0, "dx": 0.5, "period": 1.0,
+                             "values": [0.0, 1.0, 0.0], "tail": "flat"}}, "potential"),
+    ("transform", {"potential": _LAME1, "order": 3,
+                   "seeds": [{"epsilon": 1.2}, {"epsilon": 1.4}]}, "'order'"),
+    ("transform", {"potential": _LAME1, "order": 1, "seed": "bloch"}, "'epsilon'"),
+    ("bands", {"potential": _LAME1, "e_min": "x", "e_max": 3.0}, "'e_min'"),
+    ("bands", {"potential": _LAME1, "e_min": 3.0, "e_max": 3.0}, "'e_min'"),
+    ("invariance", {"potential": _LAME1, "epsilon": "x"}, "'epsilon'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": "x"}, "'c_plus'"),
+])
+def test_malformed_config_value_exit_2(tmp_path, capsys, command, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_missing_potential_exit_2(tmp_path):
     assert run(["invariance", "--epsilon", "1.0", "--out", str(tmp_path)]) == 2
 

@@ -256,6 +256,21 @@ def test_sampled_trace_accuracy(n, m, energy, samples):
     assert np.max(err) < 5e-11
 
 
+@pytest.mark.parametrize("n, m, energy", [(1, 0.95, -1.0), (3, 0.61, 0.3)])
+def test_sampled_trace_off_origin(n, m, energy):
+    # a trace from x0 != 0: the cells start at x0 + j (x1 - x0) / samples
+    v = lame(n, m)
+    half = 0.5 * v.period
+    _, trace = propagate(v, energy, -half, half, samples=256)
+    xs = np.linspace(-half, half, 257)
+    chained = [np.eye(2)]
+    for a, b in zip(xs[:-1], xs[1:]):
+        chained.append(transfer_matrices(v, [energy], a, b, rtol=1e-13)[0] @ chained[-1])
+    chained = np.array(chained)
+    err = np.max(np.abs(trace - chained), axis=(1, 2)) / np.max(np.abs(chained), axis=(1, 2))
+    assert np.max(err) < 5e-11
+
+
 def test_sampled_propagation_work():
     # at 2048 samples every cell takes one step: V at the cell starts, then
     # at the five stage abscissae of all cells

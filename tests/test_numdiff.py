@@ -1,6 +1,6 @@
 import numpy as np
 
-from susyband.numdiff import cell_max, local_max
+from susyband.numdiff import cell_max, local_max, sign_changes
 
 
 def test_cell_max_inclusive_segments():
@@ -24,3 +24,14 @@ def test_local_max_shared_sample_takes_later_cell():
     assert np.array_equal(local[:spp], [5.0] * spp)
     assert np.array_equal(local[spp : 2 * spp], [1.0] * spp)
     assert np.array_equal(local[2 * spp :], [7.0] * (spp + 1))
+
+
+def test_sign_changes_match_sign_product():
+    # reference: the product of neighbouring signs, on zeros of both signs,
+    # subnormals, infinities, NaN and samples whose products overflow
+    values = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300]
+    a = np.random.default_rng(5).choice(values, size=(4, 500))
+    signs = np.sign(a)
+    want = signs[..., :-1] * signs[..., 1:] < 0.0
+    assert np.array_equal(sign_changes(a), want)
+    assert np.array_equal(sign_changes(a[2]), want[2])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from susyband.elliptic import jacobi_sncndn
+from susyband.elliptic import complete_k, jacobi_sncndn
 from susyband.errors import BandEnergyError, SingularSeedError, WindowOverflowError
 from susyband.floquet import propagate
 from susyband.potentials import ConstantPotential, lame
@@ -33,6 +33,20 @@ def test_edge_seed_is_dn():
     assert seed.node_count == 0
     _, _, dn = jacobi_sncndn(seed.x, 0.5)
     assert np.max(np.abs(seed.u - dn)) < 1e-10
+
+
+@pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.99])
+def test_edge_seed_nodes_closed_form(m):
+    # the edges of lame(1, m) at 1 and 1 + m carry cn and sn: on the base
+    # cell [0, 2K) cn vanishes once, at K, and sn at 0
+    v = lame(1, m)
+    cn, _ = bloch_seed(v, 1.0)
+    sn, _ = bloch_seed(v, 1.0 + m)
+    assert cn.kind == sn.kind == "bloch_edge"
+    assert len(cn.nodes) == 1
+    assert abs(cn.nodes[0] - complete_k(m)) <= 1e-11
+    assert sn.nodes == (0.0,)
+    assert all(type(t) is float for t in cn.nodes + sn.nodes)
 
 
 def test_bloch_pair_below_first_edge():
@@ -178,6 +192,36 @@ def test_nodeless_mixing_midpoint():
     seed = general_seed(LAME1, 0.0, c_plus, c_minus)
     assert seed.node_count == 0
     assert seed.grows_both_ways
+
+
+def _first_longest_run(counts):
+    # reference: the run-length loop over the indices of nodeless angles
+    zero = [i for i, count in enumerate(counts) if count == 0]
+    runs, start, prev = [], zero[0], zero[0]
+    for i in zero[1:]:
+        if i != prev + 1:
+            runs.append((start, prev))
+            start = i
+        prev = i
+    runs.append((start, prev))
+    return max(runs, key=lambda r: r[1] - r[0])
+
+
+def test_nodeless_mixing_picks_first_longest_run(monkeypatch):
+    # ties, runs at both ends and single angles, against the loop
+    import susyband.seeds as seeds_module
+
+    rng = np.random.default_rng(11)
+    patterns = [[0, 1, 0, 0, 1, 0, 0], [0] * 5, [1, 0], [0, 1], [2, 0, 1, 0, 3]]
+    patterns += [rng.integers(0, 2, size=size).tolist() for size in rng.integers(2, 60, 200)]
+    for counts in patterns:
+        if 0 not in counts:
+            continue
+        scan = [(0.0, count) for count in counts]
+        monkeypatch.setattr(seeds_module, "node_scan", lambda *args, **kwargs: scan)
+        lo, hi = _first_longest_run(counts)
+        mid = 0.5 * (lo + hi) * math.pi / len(counts)
+        assert nodeless_mixing(LAME1, 0.0) == (math.cos(mid), math.sin(mid))
 
 
 def test_nodeless_mixing_missing_in_gap():
