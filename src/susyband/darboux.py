@@ -141,19 +141,19 @@ def _partner(seed, values, periodic, one_period, diagnostics):
     """The partner potential as a table, for a transform sampled on seed's window.
 
     ``one_period(xs, on_period)`` gives the partner on the one-period grid xs
-    from the (u, u') there of each seed s's dominant growing branch,
-    ``on_period(s)``: a Bloch seed itself, the pointwise limit of a general
-    one at +infinity (no displacement needed).  A periodic partner is that
-    one-period table; any other is the window table ``values`` with that
-    tail.  The asymptotic-period residual of ``values`` and the closure or
-    tail mismatches go into ``diagnostics``.
+    from the (u, u') there of the fastest-growing branch that each seed s
+    holds (nonzero coefficient), ``on_period(s)``: a Bloch seed itself, the
+    pointwise limit of a general one at +infinity (no displacement needed).
+    A periodic partner is that one-period table; any other is the window
+    table ``values`` with that tail.  The asymptotic-period residual of
+    ``values`` and the closure or tail mismatches go into ``diagnostics``.
     """
     period = seed.period
     spp = seed.samples_per_period
     diagnostics["asymptotic_period_residual"] = _asymptotic_period_residual(values, spp)
     xs = np.linspace(0.0, period, spp + 1)
     vals = one_period(
-        xs, lambda s: max(s.branches, key=lambda cb: cb[1].growth_rate)[1].evaluate(xs)
+        xs, lambda s: max((b for c, b in s.branches if c), key=lambda b: b.growth_rate).evaluate(xs)
     )
     table = TabulatedPotential(0.0, xs[1] - xs[0], vals, period)
     if periodic:

@@ -9,10 +9,11 @@ which is what makes dense discriminant sweeps cheap.  One loop,
 ``_advance``, takes every step of one cell pass, ``_cells``: cells x
 energies, each cell from the identity, all sharing the step and, for more
 than one cell, one vector call of V per step.  A sampled trace is the
-running product of its cells; a span longer than a period is the pairwise
-tree product of its one-period cells, ``cell_matrices``.  The tableau exists
-once, as the arrays _A, _B, _E and _C, and ``_dp5_step`` forms each stage
-as one weighted sum over a preallocated stage buffer.
+running product of its cells; a span is the pairwise tree product of its
+one-period cells, ``cell_matrices``, which cuts each into sub-cells for a
+small batch, so V must accept arrays.  The tableau exists once, as the
+arrays _A, _B, _E and _C, and ``_dp5_step`` forms each stage as one
+weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -81,6 +82,9 @@ _MIN_SHRINK = 0.2
 _SAFETY = 0.9
 #: smallest step, relative to max(1, |x|) at the far end, before StiffIntegrationError
 _H_FLOOR = 64.0 * np.finfo(float).eps
+#: cell_matrices: sub-cells x energies up to _CELL_BATCH, at most _MAX_SUBCELLS per cell
+_CELL_BATCH = 512
+_MAX_SUBCELLS = 16
 
 
 def _deriv_into(out, v_x, e, y):
@@ -111,10 +115,11 @@ def _advance(v, e, x0, span: float, y, rtol: float):
 
     One cell calls `v` on scalars, once per stage abscissa.  More cells make
     one vector call per step on all stage abscissae, its values broadcast as
-    (n, 1) against e.  On a step underflow the cell with the largest last
-    error ratio over its energies (NaN as inf) is blamed, once the cells
-    before it ran on their own, so the error names the first failure in the
-    order of x0.
+    (n, 1) against e; ``cell_matrices`` passes one cell only for more than
+    _CELL_BATCH / 2 energies over at most one period.  On a step underflow
+    the cell with the largest last error ratio over its energies (NaN as
+    inf) is blamed, once the cells before it ran on their own, so the error
+    names the first failure in the order of x0.
     """
     if span == 0.0:
         return y
@@ -199,8 +204,8 @@ def propagate(v: Potential, energy: float, x0: float, x1: float, samples: int | 
     breakpoints and the canonical-column matrices b(x_k <- x0) are recorded,
     so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  The
     cells b(x_k <- x_{k-1}) come from one cell pass, and b_k is their
-    running product; for n > 1 that pass calls ``v`` only on arrays, so it
-    needs a vector-capable V.  Without ``samples`` V is called on scalars.
+    running product.  Without ``samples`` it is ``transfer_matrices`` at one
+    energy.  Either way V must accept arrays.
 
     Returns (TransferMatrix, trace) where trace is None or an array of shape
     (n+1, 2, 2).
@@ -235,26 +240,40 @@ def cell_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
     """The n cells of the span x0 -> x1 (either direction) in one cell pass,
     shape (n, nE, 2, 2): cell j is b(x0 + (j + 1) s <- x0 + j s) for
     s = (x1 - x0) / n, n = ceil(|x1 - x0| / T) with a 1e-9 relative slack (8 T
-    plus rounding is 8 cells), n = 1 if ``v.period`` is None.  One cell calls
-    V on scalars; more cells share each step and one vector call of V."""
+    plus rounding is 8 cells), n = 1 if ``v.period`` is None.
+
+    Each cell is cut into k equal sub-cells, k the largest power of two up
+    to _MAX_SUBCELLS with k n nE <= _CELL_BATCH, and returned as their
+    ``_tree_product``.  All n k sub-cells share each step, so a small batch
+    takes about k times fewer.  V must accept arrays: only one sub-cell in
+    all (over _CELL_BATCH / 2 energies, at most one period) calls it on
+    scalars."""
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1:
         raise ValueError("energies must be one-dimensional")
     n = 1 if v.period is None else max(1, math.ceil(abs(x1 - x0) / v.period * (1.0 - 1e-9)))
     if e.size == 0:
         return np.empty((n, 0, 2, 2))
-    return _cells(v, e, x0, x1, n, rtol)
+    k = 1
+    while k < _MAX_SUBCELLS and 2 * k * n * e.size <= _CELL_BATCH:
+        k *= 2
+    subcells = _cells(v, e, x0, x1, n * k, rtol).reshape(n, k, e.size, 2, 2)
+    return _tree_product(subcells.swapaxes(0, 1))
 
 
 def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
     """Transfer matrices b(x1 <- x0) for a batch of energies, shape (nE, 2, 2);
     with x1 < x0 the backward matrix, the inverse of b(x0 <- x1).  V is
     evaluated once per stage for the whole batch, so a dense sweep costs
-    barely more than one solve.  The ``cell_matrices`` are multiplied as a
-    pairwise tree, later cells on the left; a span over one period needs a V
-    that accepts arrays.
+    barely more than one solve.  The result is the ``_tree_product`` of the
+    ``cell_matrices``; V must accept arrays unless the batch holds more than
+    _CELL_BATCH / 2 energies over at most one period.
     """
-    ms = cell_matrices(v, energies, x0, x1, rtol=rtol)
+    return _tree_product(cell_matrices(v, energies, x0, x1, rtol=rtol))
+
+
+def _tree_product(ms):
+    """The product of the matrices ms[0], ms[1], ... as a pairwise tree, later ones on the left."""
     while len(ms) > 1:
         pairs = len(ms) // 2
         ms = np.concatenate((ms[1 : 2 * pairs : 2] @ ms[: 2 * pairs : 2], ms[2 * pairs :]))

@@ -37,6 +37,7 @@ DEFAULT_SAMPLES_PER_PERIOD = 2048
 
 class Potential:
     """Base interface.  Instances are immutable and safe to share across workers.
+    V must accept a float or an array of x: the integrator calls it on both.
 
     ``even`` promises V(-x) == V(x) for every x.  It is a property of the
     potential type, set to True only by a class whose every instance is

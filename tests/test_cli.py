@@ -82,6 +82,25 @@ def test_transform_from_config(tmp_path):
     assert diag["kernel"][0]["normalizable"] is True
 
 
+def test_transform_tail_from_seeded_branch(tmp_path):
+    # with c_plus = 0 the seed is the decaying branch alone; the partner's
+    # tail must come from it, not from the growing branch it does not contain
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "potential": {"kind": "lame", "n": 1, "m": 0.5},
+        "order": 1,
+        "seed": "general",
+        "epsilon": -0.5,
+        "c_plus": 0.0,
+        "c_minus": 1.0,
+    }))
+    out = tmp_path / "t"
+    assert run(["transform", "--config", str(cfg), "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert diag["tail_mismatch_plus"] < 1e-8
+    assert diag["tail_mismatch_minus"] < 1e-8
+
+
 def test_invariance_reports(tmp_path):
     out = tmp_path / "inv"
     assert run(["invariance", "--lame-n", "1", "--epsilon", "-1", "--out", str(out)]) == 0

@@ -173,6 +173,7 @@ class _Recording(Potential):
     def __init__(self, base):
         self.base = base
         self.period = base.period
+        self.even = base.even
         self.calls = []
 
     def __call__(self, x):
@@ -193,11 +194,30 @@ def test_sampled_propagation_calls_v_on_vectors():
 
 
 def test_advance_evaluates_each_point_once():
-    v = _Recording(lame(2, 0.5))
-    transfer_matrix(v, 0.4, 0.0, v.period)
-    xs = [float(x) for x in v.calls]
-    assert len(xs) == len(v.calls) > 6
-    assert all(a != b for a, b in zip(xs, xs[1:]))
+    # a batch of 1 or 50 energies runs as sub-cells, over one period or less
+    # (plus rounding: 0.4 + T lands an ulp past it, still one cell) and for a
+    # potential without a period too: V is called on vectors only, each call
+    # holds no abscissa twice, and the slope at the end of a step is reused,
+    # so no two calls in a row repeat
+    base = lame(2, 0.5)
+    t = base.period
+    assert (0.4 + t) - 0.4 > t
+    assert floquet.cell_matrices(base, [0.4], 0.4, 0.4 + t).shape == (1, 1, 2, 2)
+    counts = {"advance": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "_advance", _counting(counts, "advance", floquet._advance))
+        for es in ([0.4], np.linspace(-1.0, 7.0, 50)):
+            for x0, x1, period in ((0.0, t, t), (t, 0.0, t), (0.4, 0.4 + t, t),
+                                   (0.0, 0.5 * t, t), (0.0, 5 * t, None)):
+                v = _Recording(base)
+                v.period = period
+                counts["advance"] = 0
+                transfer_matrices(v, es, x0, x1)
+                assert counts["advance"] == 1
+                assert len(v.calls) > 2
+                assert not [c for c in v.calls if np.isscalar(c)]
+                assert all(np.unique(c).size == c.size for c in v.calls)
+                assert all(not np.array_equal(a, b) for a, b in zip(v.calls, v.calls[1:]))
 
 
 def test_sampled_propagation_pole_raises():
@@ -599,6 +619,37 @@ def test_long_span_matches_chained_periods(n, m):
         assert np.max(err) < 3e-8
 
 
+@pytest.mark.parametrize("size", [1, 50])
+@pytest.mark.parametrize(
+    "n, m, partner",
+    [(n, m, False) for n in (1, 2, 3) for m in (0.1, 0.5, 0.9)] + [(2, 0.5, True)],
+)
+def test_small_batch_accuracy(n, m, partner, size):
+    # a small batch runs as sub-cells of a period; D and the cells agree with
+    # tight solves chained over 64 slices of each period, on Lame potentials
+    # and on a tabulated Bloch partner
+    v = lame(n, m)
+    if partner:
+        v = susy1(v, bloch_seed(v, -1.0)[0]).partner
+    t = v.period
+    es = np.linspace(-1.0, n * (n + 1) + 1.0, size) if size > 1 else np.array([0.7])
+    chained = _chained(v, es, np.linspace(0.0, t, 65), 1e-13)
+    want = chained[:, 0, 0] + chained[:, 1, 1]
+    assert np.max(np.abs(discriminants(v, es) - want) / np.maximum(1.0, np.abs(want))) < 1e-9
+    cells = floquet.cell_matrices(v, es, 0.0, t)
+    scale = np.maximum(1.0, np.max(np.abs(chained), axis=(1, 2)))
+    assert cells.shape == (1, size, 2, 2)
+    assert np.max(np.max(np.abs(cells[0] - chained), axis=(1, 2)) / scale) < 1e-9
+    if size == 1:
+        # two periods at one energy: 2 x 16 sub-cells, still one cell per period
+        cells = floquet.cell_matrices(v, es, 0.0, 2 * t)
+        assert cells.shape == (2, 1, 2, 2)
+        for j, cell in enumerate(cells):
+            want = _chained(v, es, np.linspace(j * t, (j + 1) * t, 65), 1e-13)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(cell - want)) / scale < 1e-9
+
+
 def test_long_span_pole_raises_first_in_x():
     # a cell is blamed only once the cells before it ran on their own, so
     # the error names the first pole in the direction of integration
@@ -629,26 +680,38 @@ def test_long_span_work(monkeypatch, scenario_cache):
     assert counts["advance"] == 1
     assert not [c for c in v.calls if np.isscalar(c)]
     one = _Recording(partner)
-    transfer_matrices(one, es, x[0], x[0] + partner.period, rtol=1e-9)
+    floquet._cells(one, es, x[0], x[0] + partner.period, 1, 1e-9)
     assert all(np.isscalar(c) for c in one.calls)
     assert len(v.calls) - 1 <= 2 * (len(one.calls) - 1) / 5
 
-    # spans of at most one period (plus rounding: 0.4 + T lands an ulp past
-    # it) stay on scalar calls, and so does any span of a potential without
-    # a period
-    base = lame(2, 0.5)
-    t = base.period
-    assert (0.4 + t) - 0.4 > t
-    for x0, x1 in ((0.0, t), (t, 0.0), (0.4, 0.4 + t), (0.0, 0.5 * t)):
-        v = _Recording(base)
-        transfer_matrices(v, es, x0, x1)
-        assert all(np.isscalar(c) for c in v.calls)
+    # a large batch over half a period is one cell with scalar V calls, the
+    # one-cell pass bit for bit
+    base = lame(3, 0.5)
+    es = np.linspace(-0.5, 13.0, 800)
     v = _Recording(base)
-    v.period = None
-    counts["advance"] = 0
-    transfer_matrices(v, es, 0.0, 5 * t)
-    assert counts["advance"] == 1
+    d = discriminants(v, es)
     assert all(np.isscalar(c) for c in v.calls)
+    ms = floquet._cells(base, es, 0.0, 0.5 * base.period, 1, floquet.DEFAULT_RTOL)[0]
+    assert np.array_equal(d, 2.0 * (ms[:, 0, 0] * ms[:, 1, 1] + ms[:, 0, 1] * ms[:, 1, 0]))
+
+    # a small batch cuts each period into k sub-cells: 16, the cap, for two
+    # periods at one energy, and 8 for one period at 50 (8 * 50 <= 512); V
+    # is first called on the n k sub-cell starts.  Each returned cell is the
+    # product of its own sub-cells
+    t = base.period
+    for es, n, k in (([0.4], 2, 16), (np.linspace(-1.0, 13.0, 50), 1, 8)):
+        es = np.asarray(es, dtype=float)
+        v = _Recording(base)
+        cells = floquet.cell_matrices(v, es, 0.0, n * t)
+        assert v.calls[0].size == n * k
+        subs = floquet._cells(base, es, 0.0, n * t, n * k, floquet.DEFAULT_RTOL)
+        assert cells.shape == (n, es.size, 2, 2)
+        for j in range(n):
+            product = np.broadcast_to(np.eye(2), (es.size, 2, 2))
+            for sub in subs[j * k : (j + 1) * k]:
+                product = sub @ product
+            scale = np.max(np.abs(product), axis=(1, 2), keepdims=True)
+            assert np.max(np.abs(cells[j] - product) / scale) < 1e-13
 
 
 def test_band_edges_narrow_top_gap():
