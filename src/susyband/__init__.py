@@ -25,7 +25,7 @@ from .darboux import (
     susy1,
     susy2,
 )
-from .elliptic import complete_k, jacobi_sncndn
+from .elliptic import complete_k, jacobi_sncndn, sn_squared
 from .errors import (
     BandEnergyError,
     ConfluentTransformError,

@@ -36,10 +36,13 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-#: displacement_fit: samples per period, samples between coarse offsets, golden-section steps
+#: displacement_fit: samples per period, samples between coarse offsets, golden-section
+#: steps; samples between the points of an offset's lower bound, offsets scored first
 _FIT_SAMPLES = 2048
 _FIT_STRIDE = 2
 _FIT_ITERS = 60
+_BOUND_STRIDE = 16
+_FIT_FIRST = 8
 #: bound on both invariance residuals (displacement and product variation)
 _INVARIANCE_TOL = 1e-4
 #: shooting: integrator rtol, energies of the first scan, width of the final bracket
@@ -75,25 +78,33 @@ def _linf_mismatch(v, w_values, xs, delta):
     return float(np.max(np.abs(np.asarray(v(xs + delta), dtype=float) - w_values)))
 
 
-def _offset_errors(v, w_values, xs):
-    """max |w(x) - v(x + delta)| over the samples xs of one period for each
-    offset delta = xs[_FIT_STRIDE * i]: v(xs + delta) is v(xs) rolled by
-    _FIT_STRIDE * i samples, up to the rounding of xs + delta."""
-    rolled = sliding_window_view(np.tile(np.asarray(v(xs), dtype=float), 2), xs.size)
-    return np.max(np.abs(rolled[: xs.size : _FIT_STRIDE] - w_values), axis=1)
+def _best_offset(v_values, w_values):
+    """First i minimizing max_j |v_values[(_FIT_STRIDE i + j) % N] - w_values[j]|
+    (v(xs + xs[_FIT_STRIDE i]) up to rounding), and how many offsets it scored.
+    The max over every _BOUND_STRIDE-th sample bounds a score from below; the
+    _FIT_FIRST least bounds are scored, then each offset whose bound is at most
+    the best score. These hold every offset of least score: np.argmin's i."""
+    n = w_values.size
+    rows = sliding_window_view(np.tile(v_values, 2), n)[:n:_FIT_STRIDE]
+    bounds = np.max(np.abs(rows[:, ::_BOUND_STRIDE] - w_values[::_BOUND_STRIDE]), axis=1)
+    first = np.argpartition(bounds, _FIT_FIRST)[:_FIT_FIRST]
+    best = np.min(np.max(np.abs(rows[first] - w_values), axis=1))
+    candidates = np.flatnonzero(bounds <= best)
+    scores = np.max(np.abs(rows[candidates] - w_values), axis=1)
+    return int(candidates[np.argmin(scores)]), first.size + candidates.size
 
 
 def displacement_fit(v: Potential, w: Potential) -> tuple[float, float]:
     """delta in [0, T) minimizing the L-infinity distance |w(x) - v(x + delta)|.
 
-    Coarse scan over every _FIT_STRIDE-th sample point (_offset_errors), then
+    Coarse scan over every _FIT_STRIDE-th sample point (_best_offset), then
     golden-section refinement around the first best one.  The max-norm (rather
     than L2) keeps localized defects visible instead of averaging them away.
     """
     period = _matched_period(v, w)
     xs = np.linspace(0.0, period, _FIT_SAMPLES, endpoint=False)
     w_values = np.asarray(w(xs), dtype=float)
-    best = xs[_FIT_STRIDE * int(np.argmin(_offset_errors(v, w_values, xs)))]
+    best = xs[_FIT_STRIDE * _best_offset(np.asarray(v(xs), dtype=float), w_values)[0]]
     step = _FIT_STRIDE * period / _FIT_SAMPLES
     a = best - step
     b = best + step

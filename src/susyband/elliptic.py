@@ -2,16 +2,15 @@
 
 Real arguments, double precision, parameter convention m = k**2 with
 m in [0, 1].  Everything rests on the arithmetic-geometric mean:
-``complete_k`` is the AGM limit and ``jacobi_sncndn`` runs the descending
-Landen ladder with backward recursion of the amplitude.  The module is
-self-contained (no special-function library) and every function is pure
-and reentrant.
+``complete_k`` is the AGM limit; ``jacobi_sncndn`` and ``sn_squared`` climb
+the descending Landen ladder in its Gauss form (DLMF 22.7.1-3) from sin and
+cos at its last level, where the modulus is below rounding.  The module is
+self-contained (no special-function library); every function is pure.
 
-The ladder for a given m is cached, so repeated evaluations at the same
-parameter cost one sine/arcsine pass per level (8-10 levels in double
-precision).  Arguments are reduced into [0, K] through the quarter-period
-symmetries before the backward recursion, which keeps large-|x| calls as
-accurate as small ones.
+The ladder for each m is cached; an evaluation costs one sine (and a cosine
+for the triple) and a few products per level (8-10 levels in double precision).
+Arguments are first reduced into [0, K] by the quarter-period symmetries,
+which keeps large-|x| calls as accurate as small ones.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import EllipticDomainError
 
-__all__ = ["complete_k", "jacobi_sncndn"]
+__all__ = ["complete_k", "jacobi_sncndn", "sn_squared"]
 
 # Ladder cutoff: AGM converges quadratically, so c_n drops below this in
 # well under 12 levels for every m in [0, 1).
@@ -31,18 +30,16 @@ _C_CUTOFF = 4.0e-16
 
 
 @lru_cache(maxsize=256)
-def _agm_ladder(m: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Scale factors a_i and cofactors c_i of the descending Landen ladder."""
+def _agm_ladder(m: float) -> tuple[float, tuple[float, ...]]:
+    """AGM limit a_N and the Landen moduli k_i = c_i / a_i, last level first."""
     a = 1.0
     b = math.sqrt(1.0 - m)
     c = math.sqrt(m)
-    a_seq = [a]
-    c_seq = [c]
+    moduli = []
     while abs(c) > _C_CUTOFF * a:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        a_seq.append(a)
-        c_seq.append(c)
-    return tuple(a_seq), tuple(c_seq)
+        moduli.append(c / a)
+    return a, tuple(reversed(moduli))
 
 
 def _check_parameter(m: float, *, complete: bool) -> float:
@@ -61,28 +58,17 @@ def complete_k(m: float) -> float:
     Monotone increasing on [0, 1); K(0) = pi/2; raises for m = 1.
     """
     m = _check_parameter(m, complete=True)
-    a_seq, _ = _agm_ladder(m)
-    return math.pi / (2.0 * a_seq[-1])
+    return math.pi / (2.0 * _agm_ladder(m)[0])
 
 
-#: the ladder's functions: math for a float (numpy's per-call overhead on a
-#: Python float costs several times the arithmetic), numpy for an ndarray
-_MATH = (math.sin, math.cos, math.asin, math.sqrt)
-_NUMPY = (np.sin, np.cos, np.arcsin, np.sqrt)
-
-
-def _sncndn_reduced(y, m, a_seq, c_seq, fns):
-    """sn, cn, dn at reduced arguments y in [0, K] by the functions fns; asin
-    needs no clip, as (c_i / a_i) sin(phi) rounds to at most c_i / a_i < 1."""
-    sin, cos, asin, sqrt = fns
-    n = len(a_seq) - 1
-    phi = math.ldexp(a_seq[n], n) * y
-    for i in range(n, 0, -1):
-        phi = 0.5 * (phi + asin(c_seq[i] / a_seq[i] * sin(phi)))
-    sn = sin(phi)
-    # dn never vanishes for m < 1 (it is bounded below by sqrt(1-m)), so the
-    # positive square root of the defining identity is the right branch.
-    return sn, cos(phi), sqrt(1.0 - m * sn * sn)
+def _sncndn_reduced(y, agm, moduli, sin, cos):
+    """sn, cn, dn at y in [0, K]: each k maps them to ((1+k) sn, cn dn, 1-t) / (1+t), t = k sn^2."""
+    u = agm * y
+    s, c, d = sin(u), cos(u), 1.0
+    for k in moduli:
+        t = k * s * s
+        s, c, d = (1.0 + k) * s / (1.0 + t), c * d / (1.0 + t), (1.0 - t) / (1.0 + t)
+    return s, c, d
 
 
 def jacobi_sncndn(x, m: float):
@@ -111,8 +97,8 @@ def jacobi_sncndn(x, m: float):
         sech = 1.0 / np.cosh(x)
         return np.tanh(x), sech, sech
 
-    a_seq, c_seq = _agm_ladder(m)
-    quarter = math.pi / (2.0 * a_seq[-1])  # K(m)
+    agm, moduli = _agm_ladder(m)
+    quarter = math.pi / (2.0 * agm)  # K(m)
 
     if scalar:
         y = float(x) % (4.0 * quarter)
@@ -123,7 +109,7 @@ def jacobi_sncndn(x, m: float):
         if y > quarter:
             y = 2.0 * quarter - y
             sign_cn = -sign_cn
-        sn, cn, dn = _sncndn_reduced(y, m, a_seq, c_seq, _MATH)
+        sn, cn, dn = _sncndn_reduced(y, agm, moduli, math.sin, math.cos)
         return sign_sn * sn, sign_cn * cn, dn
 
     y = np.asarray(x, dtype=float) % (4.0 * quarter)
@@ -131,5 +117,29 @@ def jacobi_sncndn(x, m: float):
     y = np.where(upper, y - 2.0 * quarter, y)
     mirror = y > quarter
     y = np.where(mirror, 2.0 * quarter - y, y)
-    sn, cn, dn = _sncndn_reduced(y, m, a_seq, c_seq, _NUMPY)
+    sn, cn, dn = _sncndn_reduced(y, agm, moduli, np.sin, np.cos)
     return np.where(upper, -sn, sn), np.where(upper != mirror, -cn, cn), dn
+
+
+def sn_squared(x, m: float):
+    """sn^2(x|m) at real x (a float or an ndarray) for parameter m in [0, 1].
+
+    The sn update of ``jacobi_sncndn``'s recursion alone, on |x| reduced mod 2K
+    and mirrored about K.  m = 0 gives sin^2 and m = 1 tanh^2.
+    """
+    m = _check_parameter(m, complete=False)
+    scalar = np.isscalar(x)  # math on a float: numpy's call overhead outweighs the arithmetic
+    sin, tanh, fmod, low = ((math.sin, math.tanh, math.fmod, min) if scalar
+                            else (np.sin, np.tanh, np.fmod, np.minimum))
+    x = float(x) if scalar else np.asarray(x, dtype=float)
+    if m == 0.0 or m == 1.0:
+        s = (sin if m == 0.0 else tanh)(x)
+        return s * s
+
+    agm, moduli = _agm_ladder(m)
+    half = math.pi / agm  # 2K(m), the period of sn^2
+    y = fmod(abs(x), half)  # exact, and twice as fast as numpy's floored %
+    s = sin(agm * low(y, half - y))
+    for k in moduli:
+        s = (1.0 + k) * s / (1.0 + k * s * s)
+    return s * s

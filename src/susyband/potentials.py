@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .elliptic import complete_k, jacobi_sncndn
+from .elliptic import complete_k, sn_squared
 
 __all__ = [
     "Potential",
@@ -99,8 +99,7 @@ class LamePotential(Potential):
         return -0.5, self.n * (self.n + 1) + 1.0
 
     def __call__(self, x):
-        sn, _, _ = jacobi_sncndn(x, self.m)
-        return self.amplitude * sn * sn
+        return self.amplitude * sn_squared(x, self.m)
 
     def to_dict(self) -> dict:
         return {"kind": "lame", "n": self.n, "m": self.m}

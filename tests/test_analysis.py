@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from susyband.analysis import (
-    _offset_errors,
+    _best_offset,
     bound_states_in_gaps,
     compare_band_structure,
     displacement_fit,
@@ -99,25 +99,51 @@ def _grid_displacement_fit(v, w):
     return float(delta % period), mismatch(delta)
 
 
+def _displaced_copies(scenario_cache):
+    fig1a = scenario_cache("fig1a")
+    return [(LAME1, ShiftedPotential(LAME1, 0.77)), (fig1a.potential, fig1a.result.partner)]
+
+
 def test_rolled_scan_matches_grid_scan(scenario_cache):
     fig1a = scenario_cache("fig1a")
     pairs = [(v, susy1(v, bloch_seed(v, -0.5)[0]).partner) for v in (LAME1, LAME2, lame(3, 0.5))]
-    pairs += [
-        (LAME1, ShiftedPotential(LAME1, 0.77)),
-        (fig1a.potential, fig1a.result.partner),
-        # every offset scores the same: both scans keep the first
-        (ConstantPotential(0.3, period=2.0), ConstantPotential(0.1, period=2.0)),
-    ]
+    pairs += _displaced_copies(scenario_cache)
+    # every offset scores the same: both scans keep the first
+    pairs.append((ConstantPotential(0.3, period=2.0), ConstantPotential(0.1, period=2.0)))
     for v, w in pairs:
         xs = np.linspace(0.0, v.period, 2048, endpoint=False)
         w_values = np.asarray(w(xs), dtype=float)
-        errs = _offset_errors(v, w_values, xs)
-        expected = _grid_errors(v, w_values, xs)
-        assert np.max(np.abs(errs - expected)) <= 1e-13
-        assert np.argmin(errs) == np.argmin(expected)
-    assert np.argmin(errs) == 0
+        best, _ = _best_offset(np.asarray(v(xs), dtype=float), w_values)
+        assert best == np.argmin(_grid_errors(v, w_values, xs))
+    assert best == 0
     fit = displacement_fit(fig1a.potential, fig1a.result.partner)
     assert fit == _grid_displacement_fit(fig1a.potential, fig1a.result.partner)
+
+
+def test_pruned_scan_scores_few_offsets(scenario_cache):
+    # the lower bounds rule out all but a handful of offsets
+    for v, w in _displaced_copies(scenario_cache):
+        xs = np.linspace(0.0, v.period, 2048, endpoint=False)
+        _, scored = _best_offset(np.asarray(v(xs), dtype=float), np.asarray(w(xs), dtype=float))
+        assert scored <= 64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rough", "levels", "copy"]))
+def test_pruned_scan_is_the_full_argmin(seed, kind):
+    # against np.argmin over every offset's full score: on rough data, on data
+    # of two levels (many offsets tie), and on a noisy copy of a signal with
+    # four repeats per period (four offsets tie at the least score)
+    rng = np.random.default_rng(seed)
+    v_values, w_values = rng.standard_normal((2, 2048))
+    if kind == "levels":
+        v_values, w_values = np.sign(v_values), np.sign(w_values)
+    elif kind == "copy":
+        v_values = np.tile(v_values[:512], 4)
+        w_values = np.roll(v_values, -2 * int(rng.integers(1024))) + 1e-3 * w_values
+    rolled = np.stack([np.roll(v_values, -2 * i) for i in range(1024)])
+    expected = np.argmin(np.max(np.abs(rolled - w_values), axis=1))
+    assert _best_offset(v_values, w_values)[0] == expected
 
 
 def test_displacement_not_a_copy(scenario_cache):

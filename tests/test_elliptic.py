@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from susyband.elliptic import complete_k, jacobi_sncndn
+from susyband.elliptic import complete_k, jacobi_sncndn, sn_squared
 from susyband.errors import EllipticDomainError
 
 # frozen from the quadrature oracle below (also the literature value)
@@ -171,3 +173,38 @@ def test_large_argument_reduction():
     reduced = jacobi_sncndn(far, m)
     for a, b in zip(near, reduced):
         assert a == pytest.approx(b, abs=5e-11)
+
+
+def test_sn_squared_against_mpmath():
+    import mpmath
+
+    with mpmath.workdps(30):
+        for m in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+            xs = np.linspace(-2.0 * complete_k(m), 2.0 * complete_k(m), 33)  # two periods
+            array_path = sn_squared(xs, m)
+            for x, value in zip(xs, array_path):
+                exact = float(mpmath.ellipfun("sn", x, m=m) ** 2)
+                assert abs(value - exact) < 1e-13
+                assert abs(sn_squared(float(x), m) - exact) < 1e-13
+
+
+def test_sn_squared_scalar_path_matches_array_path():
+    rng = np.random.default_rng(20261019)
+    xs = rng.uniform(-50.0, 50.0, 2000)
+    ms = rng.uniform(0.01, 0.999, 2000)
+    worst = 0.0
+    for x, m in zip(xs, ms):
+        scalar = sn_squared(float(x), float(m))
+        assert type(scalar) is float
+        worst = max(worst, abs(scalar - sn_squared(np.array([x]), float(m))[0]))
+    assert worst < 4e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-50.0, 50.0), st.floats(0.0, 1.0))
+def test_sn_squared_is_the_square_of_sn(x, m):
+    value = sn_squared(x, m)
+    assert abs(value - jacobi_sncndn(x, m)[0] ** 2) < 1e-14
+    assert abs(sn_squared(-x, m) - value) < 1e-14
+    if m < 1.0:
+        assert abs(sn_squared(x + 2.0 * complete_k(m), m) - value) < 1e-14
