@@ -93,9 +93,9 @@ def _load_config(path: str | None) -> dict:
 
 
 def _float(value, field: str) -> float:
-    """value as a float; a missing (None) or non-numeric one names the field."""
+    """value as a float; a missing (None), boolean or non-numeric one names the field."""
     try:
-        return float(value)
+        return float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field!r} must be a number, got {value!r}") from exc
 
@@ -267,7 +267,10 @@ def cmd_states(args, config, opts) -> int:
     c_plus = args.c_plus if args.c_plus is not None else config.get("c_plus")
     c_minus = args.c_minus if args.c_minus is not None else config.get("c_minus")
     if c_plus is not None or c_minus is not None:
-        c = _float(c_plus or 0.0, "c_plus"), _float(c_minus or 0.0, "c_minus")
+        c_plus, c_minus = (0.0 if c is None else c for c in (c_plus, c_minus))
+        c = _float(c_plus, "c_plus"), _float(c_minus, "c_minus")
+        if c == (0.0, 0.0):
+            raise ConfigError("'c_plus' and 'c_minus' must not both vanish")
         seeds = [general_seed(v, eps, *c, **opts)]
     else:
         seeds = list(bloch_seed(v, eps, **opts))

@@ -28,6 +28,7 @@ from .errors import (
     SeedConsistencyError,
     SingularTransformError,
 )
+from .floquet import CSV_BLOCK_ROWS
 from .numdiff import (BOUNDARY_CELLS, cell_max, derivative, local_max, second_derivative,
                       sign_changes)
 from .potentials import Potential, TabulatedPotential
@@ -413,4 +414,6 @@ def write_transform_csv(stream, result: TransformResult):
     kernel = [state.psi for state in result.kernel[:2]]
     cols = [result.x, result.v_values, result.partner_values, result.intertwiner, *kernel]
     row_fmt = ",".join(["%.12g"] * len(cols) + [""] * (2 - len(kernel))) + "\n"
-    stream.write((row_fmt * len(result.x)) % tuple(np.column_stack(cols).ravel().tolist()))
+    for lo in range(0, len(result.x), CSV_BLOCK_ROWS):
+        block = np.column_stack([col[lo : lo + CSV_BLOCK_ROWS] for col in cols])
+        stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))

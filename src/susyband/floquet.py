@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
     "EDGE_TOL",
+    "CSV_BLOCK_ROWS",
     "TransferMatrix",
     "EnergyClass",
     "BandStructure",
@@ -59,6 +60,7 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 #: |D| within this of 2 classifies an energy as a band edge
 EDGE_TOL = 1e-7
+CSV_BLOCK_ROWS = 2048  # rows per `%` call of the CSV writers: one default period
 
 # Dormand-Prince 5(4) tableau (FSAL).  Stage i is the slope at x + C[i] h of
 # y + h A[i, :i] . k[:i]; the step is h B . k[:6], its error estimate
@@ -503,6 +505,8 @@ def write_discriminant_csv(stream, v, energies):
     """Emit an E, D(E), class_tag sweep as CSV (12 significant digits)."""
     energies = np.asarray(energies, dtype=float)
     ds = discriminants(v, energies)
-    rows = zip(energies.tolist(), ds.tolist(), _tags(ds).tolist())
     stream.write("E,D,class_tag\n")
-    stream.write(("%.12g,%.12g,%s\n" * ds.size) % tuple(field for row in rows for field in row))
+    for lo in range(0, ds.size, CSV_BLOCK_ROWS):
+        e, d = energies[lo : lo + CSV_BLOCK_ROWS], ds[lo : lo + CSV_BLOCK_ROWS]
+        rows = zip(e.tolist(), d.tolist(), _tags(d).tolist())
+        stream.write(("%.12g,%.12g,%s\n" * d.size) % tuple(field for row in rows for field in row))

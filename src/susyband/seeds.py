@@ -440,11 +440,11 @@ def superpotential(seed: SeedSolution) -> SuperpotentialTrace:
 def write_seed_csv(stream, seed: SeedSolution):
     """Emit the seed trace as CSV: x, u, u_prime, alpha (12 significant digits)."""
     stream.write("x,u,u_prime,alpha\n")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        alpha = seed.u_prime / seed.u
-    table = np.column_stack((seed.x, seed.u, seed.u_prime, alpha))
-    # a non-finite alpha is an empty field: drop its value and its format
-    keep = np.ones(table.shape, dtype=bool)
-    keep[:, 3] = np.isfinite(alpha)
-    row_fmt = np.where(keep[:, 3], "%.12g,%.12g,%.12g,%.12g\n", "%.12g,%.12g,%.12g,\n")
-    stream.write("".join(row_fmt.tolist()) % tuple(table[keep].tolist()))
+    for lo in range(0, len(seed.x), floquet.CSV_BLOCK_ROWS):
+        x, u, up = (col[lo : lo + floquet.CSV_BLOCK_ROWS] for col in (seed.x, seed.u, seed.u_prime))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            table = np.column_stack((x, u, up, up / u))
+        # a non-finite alpha is an empty field: drop its value and its format
+        keep = np.isfinite(table) | [True, True, True, False]
+        row_fmt = np.where(keep[:, 3], "%.12g,%.12g,%.12g,%.12g\n", "%.12g,%.12g,%.12g,\n")
+        stream.write("".join(row_fmt.tolist()) % tuple(table[keep].tolist()))

@@ -1,5 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
+from susyband.floquet import CSV_BLOCK_ROWS
 from susyband.scenarios import band_structure_for, run_scenario
 from susyband.potentials import lame
 
@@ -25,3 +29,31 @@ def lame_bands():
         return band_structure_for(lame(n, m))
 
     return get
+
+
+_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e-300, 1.0 / 3.0, -2.5e-7)
+
+
+@pytest.fixture(scope="session")
+def block_edge_column():
+    """A CSV column of `rows` random values of every magnitude, with the
+    special values (signed zeros, infinities, NaN, extremes) planted in the
+    last row and in the first two and last two rows of every block of
+    CSV_BLOCK_ROWS; `shift` varies both."""
+
+    def get(rows, shift):
+        rng = np.random.default_rng([rows, shift])
+        out = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        edge = (0, 1, CSV_BLOCK_ROWS - 2, CSV_BLOCK_ROWS - 1)
+        at = [i for i in range(rows) if i % CSV_BLOCK_ROWS in edge or i == rows - 1]
+        out[at] = np.resize(np.roll(_SPECIAL, shift), len(at))
+        return out
+
+    return get
+
+
+@pytest.fixture(params=[1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+def block_edge_rows(request):
+    """Row counts of one row, of one block short, whole and one row over,
+    and of three blocks, the last of one row."""
+    return request.param

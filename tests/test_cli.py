@@ -153,6 +153,12 @@ _LAME1 = {"kind": "lame", "n": 1, "m": 0.5}
     ("bands", {"potential": _LAME1, "e_min": 3.0, "e_max": 3.0}, "'e_min'"),
     ("invariance", {"potential": _LAME1, "epsilon": "x"}, "'epsilon'"),
     ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": "x"}, "'c_plus'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": ""}, "'c_plus'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": False, "c_minus": 1.0}, "'c_plus'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": [], "c_minus": 1.0}, "'c_plus'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 1.0, "c_minus": True}, "'c_minus'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 0, "c_minus": -0.0}, "'c_minus'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_minus": 0.0}, "'c_plus'"),
 ])
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, doc, field):
     cfg = tmp_path / "cfg.json"
@@ -195,15 +201,23 @@ def test_bad_env_value_exit_2(tmp_path, monkeypatch):
 
 
 def test_repeat_runs_byte_identical(tmp_path):
-    args = [
-        "bands", "--lame-n", "1", "--lame-m", "0.5",
-        "--emin", "0", "--emax", "3", "--sweep-points", "64",
-    ]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(args + ["--out", str(out1)]) == 0
-    assert run(args + ["--out", str(out2)]) == 0
-    assert read(out1 / "discriminant.csv") == read(out2 / "discriminant.csv")
-    assert read(out1 / "edges.json") == read(out2 / "edges.json")
+    # the transform and states traces are 32 769 rows: 17 CSV blocks
+    commands = {
+        "bands": ["bands", "--lame-n", "1", "--lame-m", "0.5",
+                  "--emin", "0", "--emax", "3", "--sweep-points", "64"],
+        "fig3d": ["transform", "--scenario", "fig3d"],
+        "bloch": ["states", "--lame-n", "1", "--epsilon", "-1.0"],
+        "general": ["states", "--lame-n", "2", "--epsilon", "-0.5",
+                    "--c-plus", "0.6", "--c-minus", "0.8"],
+    }
+    for name, args in commands.items():
+        out1, out2 = tmp_path / name / "a", tmp_path / name / "b"
+        assert run(args + ["--out", str(out1)]) == 0
+        assert run(args + ["--out", str(out2)]) == 0
+        files = sorted(p.name for p in out1.iterdir())
+        assert files == sorted(p.name for p in out2.iterdir())
+        for f in files:
+            assert read(out1 / f) == read(out2 / f), f"{name}: {f}"
 
 
 @pytest.mark.parametrize("points", ["-5", "0"])

@@ -1,7 +1,9 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,6 +248,40 @@ def test_transform_csv_matches_row_writer(soliton, scenario_cache):
             buf = io.StringIO()
             write_transform_csv(buf, r)
             assert buf.getvalue().splitlines(keepends=True) == _row_transform_csv(r)
+
+
+def test_transform_csv_block_edges(soliton, block_edge_column, block_edge_rows):
+    # 0, 1 and 2 kernel columns, special values on both sides of each block edge
+    columns = [block_edge_column(block_edge_rows, shift) for shift in range(6)]
+    states = [dataclasses.replace(soliton.kernel[0], psi=psi) for psi in columns[4:]]
+    for count in (0, 1, 2):
+        r = dataclasses.replace(
+            soliton,
+            x=columns[0],
+            v_values=columns[1],
+            partner_values=columns[2],
+            intertwiner=columns[3],
+            kernel=tuple(states[:count]),
+        )
+        buf = io.StringIO()
+        write_transform_csv(buf, r)
+        assert buf.getvalue().splitlines(keepends=True) == _row_transform_csv(r)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig3d"])
+def test_transform_csv_memory_is_bounded(scenario_cache, name):
+    # formatted one block at a time; the whole 32 769-row table at once
+    # peaked at 9.4 (fig1a) and 11.1 MB (fig3d)
+    result = scenario_cache(name).result
+    discard = SimpleNamespace(write=len)
+    tracemalloc.start()
+    try:
+        write_transform_csv(discard, result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.x) == 32769
+    assert peak <= 1e6
 
 
 def test_partner_tail_evaluation(scenario_cache):

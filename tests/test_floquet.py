@@ -880,3 +880,14 @@ def test_discriminant_csv_matches_row_writer(monkeypatch):
     buf = io.StringIO()
     write_discriminant_csv(buf, FREE, energies)
     assert buf.getvalue().splitlines(keepends=True) == _row_discriminant_csv(energies, ds)
+
+
+def test_discriminant_csv_block_edges(monkeypatch, block_edge_column, block_edge_rows):
+    energies, ds = block_edge_column(block_edge_rows, 0), block_edge_column(block_edge_rows, 3)
+    # every tag at each block edge: the two rows on each side of it carry
+    # an antiperiodic edge, two special values and a periodic edge
+    ds[1::4], ds[2::4] = 2.0, -2.0 + 5e-8
+    monkeypatch.setattr(floquet, "discriminants", lambda v, es: ds.copy())
+    buf = io.StringIO()
+    write_discriminant_csv(buf, FREE, energies)
+    assert buf.getvalue().splitlines(keepends=True) == _row_discriminant_csv(energies, ds)

@@ -1,14 +1,16 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from susyband.elliptic import complete_k, jacobi_sncndn
 from susyband.errors import BandEnergyError, SingularSeedError, WindowOverflowError
-from susyband.floquet import propagate
+from susyband.floquet import CSV_BLOCK_ROWS, propagate
 from susyband.potentials import ConstantPotential, lame
 from susyband.seeds import (
     RICCATI_GATE,
@@ -324,6 +326,38 @@ def test_seed_csv_matches_row_writer():
         assert buf.getvalue().splitlines(keepends=True) == _row_seed_csv(s)
     lines = buf.getvalue().split("\n")
     assert lines[9].endswith(",") and lines[21].endswith(",")
+
+
+def test_seed_csv_block_edges(block_edge_column, block_edge_rows):
+    seed, _ = bloch_seed(LAME1, -1.0, periods=2, samples_per_period=32)
+    rows = block_edge_rows
+    x, u, up = (block_edge_column(rows, shift) for shift in range(3))
+    # a node on each side of each block edge: a blank alpha in the last row
+    # of one block and the first row of the next
+    nodes = [i for i in (CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS)
+             if i < rows]
+    u[nodes], up[nodes] = 0.0, 1.0
+    planted = dataclasses.replace(seed, x=x, u=u, u_prime=up)
+    buf = io.StringIO()
+    write_seed_csv(buf, planted)
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert lines == _row_seed_csv(planted)
+    assert all(lines[1 + i].endswith(",\n") for i in nodes)
+
+
+def test_seed_csv_memory_is_bounded():
+    # formatted one block at a time; the whole 32 769-row table at once
+    # peaked at 12.0 MB
+    seed, _ = bloch_seed(LAME1, -1.0)
+    discard = SimpleNamespace(write=len)
+    tracemalloc.start()
+    try:
+        write_seed_csv(discard, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seed.x) == 32769
+    assert peak <= 1e6
 
 
 @pytest.mark.parametrize("periods", [15, 16])
