@@ -93,11 +93,22 @@ def _load_config(path: str | None) -> dict:
 
 
 def _float(value, field: str) -> float:
-    """value as a float; a missing (None), boolean or non-numeric one names the field."""
+    """value as a finite float; a missing (None), boolean or non-numeric one names the field."""
     try:
-        return float(None if isinstance(value, bool) else value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field!r} must be a number, got {value!r}") from exc
+        number = float(None if isinstance(value, bool) else value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{field!r} must be a finite number, got {value!r}")
+    return number
+
+
+def _mixing(c_plus, c_minus) -> tuple[float, float]:
+    """A general seed's coefficients (c_plus, c_minus) as floats, not both 0."""
+    c = _float(c_plus, "c_plus"), _float(c_minus, "c_minus")
+    if c == (0.0, 0.0):
+        raise ConfigError("'c_plus' and 'c_minus' must not both vanish")
+    return c
 
 
 def _resolve_potential(args, config) -> Potential:
@@ -197,8 +208,7 @@ def _transform_from_config(v, config, opts):
             return bloch_seed(v, eps, **opts)[0]
         if kind == "general":
             if "c_plus" in spec:
-                c = _float(spec["c_plus"], "c_plus"), _float(spec.get("c_minus"), "c_minus")
-                return general_seed(v, eps, *c, **opts)
+                return general_seed(v, eps, *_mixing(spec["c_plus"], spec.get("c_minus")), **opts)
             mix = nodeless_mixing(v, eps, **{k: opts[k] for k in opts if k != "samples_per_period"})
             return general_seed(v, eps, *mix, **opts)
         raise ConfigError(f"unknown seed kind {kind!r}")
@@ -267,10 +277,7 @@ def cmd_states(args, config, opts) -> int:
     c_plus = args.c_plus if args.c_plus is not None else config.get("c_plus")
     c_minus = args.c_minus if args.c_minus is not None else config.get("c_minus")
     if c_plus is not None or c_minus is not None:
-        c_plus, c_minus = (0.0 if c is None else c for c in (c_plus, c_minus))
-        c = _float(c_plus, "c_plus"), _float(c_minus, "c_minus")
-        if c == (0.0, 0.0):
-            raise ConfigError("'c_plus' and 'c_minus' must not both vanish")
+        c = _mixing(*(0.0 if c is None else c for c in (c_plus, c_minus)))
         seeds = [general_seed(v, eps, *c, **opts)]
     else:
         seeds = list(bloch_seed(v, eps, **opts))

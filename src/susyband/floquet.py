@@ -7,13 +7,12 @@ pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
 ride along in one adaptive integration since V(x) is shared between them,
 which is what makes dense discriminant sweeps cheap.  One loop,
 ``_advance``, takes every step of one cell pass, ``_cells``: cells x
-energies, each cell from the identity, all sharing the step and, for more
-than one cell, one vector call of V per step.  A sampled trace is the
-running product of its cells; a span is the pairwise tree product of its
-one-period cells, ``cell_matrices``, which cuts each into sub-cells for a
-small batch, so V must accept arrays.  The tableau exists once, as the
-arrays _A, _B, _E and _C, and ``_dp5_step`` forms each stage as one
-weighted sum over a preallocated stage buffer.
+energies, each cell from the identity, all sharing the step and one call
+of V per step on an array.  A sampled trace is the running product of its
+cells; a span is the pairwise tree product of its one-period cells,
+``cell_matrices``, which cuts each into sub-cells.  The tableau exists
+once, as the arrays _A, _B, _E and _C, and ``_dp5_step`` forms each stage
+as one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -84,7 +83,7 @@ _MIN_SHRINK = 0.2
 _SAFETY = 0.9
 #: smallest step, relative to max(1, |x|) at the far end, before StiffIntegrationError
 _H_FLOOR = 64.0 * np.finfo(float).eps
-#: cell_matrices: sub-cells x energies up to _CELL_BATCH, at most _MAX_SUBCELLS per cell
+#: cell_matrices: sub-cells x energies up to _CELL_BATCH, 2 to _MAX_SUBCELLS per cell
 _CELL_BATCH = 512
 _MAX_SUBCELLS = 16
 
@@ -115,24 +114,19 @@ def _advance(v, e, x0, span: float, y, rtol: float):
     0 to span, either sign: cell j runs at x = x0[j] + s at the energies e,
     shape (nE,), and all share the step.
 
-    One cell calls `v` on scalars, once per stage abscissa.  More cells make
-    one vector call per step on all stage abscissae, its values broadcast as
-    (n, 1) against e; ``cell_matrices`` passes one cell only for more than
-    _CELL_BATCH / 2 energies over at most one period.  On a step underflow
-    the cell with the largest last error ratio over its energies (NaN as
-    inf) is blamed, once the cells before it ran on their own, so the error
-    names the first failure in the order of x0.
+    Each step makes one call of `v` on the stage abscissae of all cells, its
+    values broadcast as (n, 1) against e.  On a step underflow the cell with
+    the largest last error ratio over its energies (NaN as inf) is blamed,
+    once the cells before it ran on their own, so the error names the first
+    failure in the order of x0.
     """
     if span == 0.0:
         return y
-    one = x0.size == 1
-    start = float(x0[0]) if one else x0
     direction = 1.0 if span > 0 else -1.0
     s = 0.0
-    v_x = v(start) if one else np.reshape(v(x0), (-1, 1))
+    v_x = np.reshape(v(x0), (-1, 1))
     k = np.empty((7,) + y.shape)
     _deriv_into(k[0], v_x, e, y)
-    nodes = _C[1:].tolist()
     y0, ratios, bound = y, np.zeros(y.shape), np.empty(y.shape)  # error-test buffers
     floor = _H_FLOOR * max(1.0, float(np.max(np.abs(x0))) + abs(span))
 
@@ -143,20 +137,14 @@ def _advance(v, e, x0, span: float, y, rtol: float):
     while (span - s) * direction > 0.0:
         if abs(h) > abs(span - s):
             h = span - s
-        x = start + s
         if abs(h) < floor:
-            if not one:
-                last = np.max(ratios.reshape(4, x0.size, -1), axis=(0, 2))
-                j = int(np.argmax(np.where(np.isnan(last), np.inf, last)))
-                if j:
-                    _advance(v, e, x0[:j], span, y0[:, :, :j], rtol)
-                x = float(x[j])
-            raise StiffIntegrationError("step size underflow in propagation", x)
+            last = np.max(ratios.reshape(4, x0.size, -1), axis=(0, 2))
+            j = int(np.argmax(np.where(np.isnan(last), np.inf, last)))
+            if j:
+                _advance(v, e, x0[:j], span, y0[:, :, :j], rtol)
+            raise StiffIntegrationError("step size underflow in propagation", float(x0[j] + s))
 
-        if one:
-            vs = [v(x + c * h) for c in nodes]
-        else:
-            vs = np.asarray(v((x + _C[1:, None] * h).ravel()), dtype=float).reshape(5, -1, 1)
+        vs = np.asarray(v((x0 + s + _C[1:, None] * h).ravel()), dtype=float).reshape(5, -1, 1)
         y_new, err = _dp5_step(k, vs, e, y, h)
         y_new += y  # in place: the increment's array becomes y_new
         np.maximum(np.abs(y, out=bound), np.abs(y_new, out=ratios), out=bound)
@@ -207,7 +195,7 @@ def propagate(v: Potential, energy: float, x0: float, x1: float, samples: int | 
     so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  The
     cells b(x_k <- x_{k-1}) come from one cell pass, and b_k is their
     running product.  Without ``samples`` it is ``transfer_matrices`` at one
-    energy.  Either way V must accept arrays.
+    energy.
 
     Returns (TransferMatrix, trace) where trace is None or an array of shape
     (n+1, 2, 2).
@@ -245,18 +233,16 @@ def cell_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
     plus rounding is 8 cells), n = 1 if ``v.period`` is None.
 
     Each cell is cut into k equal sub-cells, k the largest power of two up
-    to _MAX_SUBCELLS with k n nE <= _CELL_BATCH, and returned as their
-    ``_tree_product``.  All n k sub-cells share each step, so a small batch
-    takes about k times fewer.  V must accept arrays: only one sub-cell in
-    all (over _CELL_BATCH / 2 energies, at most one period) calls it on
-    scalars."""
+    to _MAX_SUBCELLS with k n nE <= _CELL_BATCH, but at least 2, and
+    returned as their ``_tree_product``.  All n k sub-cells share each step,
+    so a small batch takes about k times fewer."""
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1:
         raise ValueError("energies must be one-dimensional")
     n = 1 if v.period is None else max(1, math.ceil(abs(x1 - x0) / v.period * (1.0 - 1e-9)))
     if e.size == 0:
         return np.empty((n, 0, 2, 2))
-    k = 1
+    k = 2
     while k < _MAX_SUBCELLS and 2 * k * n * e.size <= _CELL_BATCH:
         k *= 2
     subcells = _cells(v, e, x0, x1, n * k, rtol).reshape(n, k, e.size, 2, 2)
@@ -266,10 +252,9 @@ def cell_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
 def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
     """Transfer matrices b(x1 <- x0) for a batch of energies, shape (nE, 2, 2);
     with x1 < x0 the backward matrix, the inverse of b(x0 <- x1).  V is
-    evaluated once per stage for the whole batch, so a dense sweep costs
+    evaluated once per step for the whole batch, so a dense sweep costs
     barely more than one solve.  The result is the ``_tree_product`` of the
-    ``cell_matrices``; V must accept arrays unless the batch holds more than
-    _CELL_BATCH / 2 energies over at most one period.
+    ``cell_matrices``.
     """
     return _tree_product(cell_matrices(v, energies, x0, x1, rtol=rtol))
 

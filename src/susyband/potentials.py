@@ -37,7 +37,7 @@ DEFAULT_SAMPLES_PER_PERIOD = 2048
 
 class Potential:
     """Base interface.  Instances are immutable and safe to share across workers.
-    V must accept a float or an array of x: the integrator calls it on both.
+    V must accept an array of x: the library calls it on arrays only.
 
     ``even`` promises V(-x) == V(x) for every x.  It is a property of the
     potential type, set to True only by a class whose every instance is
@@ -112,7 +112,8 @@ def lame(n: int, m: float) -> LamePotential:
 
 @dataclass(frozen=True)
 class ConstantPotential(Potential):
-    """Flat potential; the period is nominal and only fixes the Floquet cell."""
+    """Flat potential; the period is nominal and only fixes the Floquet cell.
+    V of a float is a 0-d array."""
 
     even = True
     value: float = 0.0
@@ -123,8 +124,6 @@ class ConstantPotential(Potential):
             raise ValueError("nominal period must be positive")
 
     def __call__(self, x):
-        if np.isscalar(x):
-            return self.value
         return np.full(np.shape(x), self.value, dtype=float)
 
     def to_dict(self) -> dict:
@@ -138,7 +137,7 @@ class TabulatedPotential(Potential):
     evaluation wraps periodically, so the table represents a genuinely
     periodic potential.  With an explicit tail (any other Potential) the
     window holds the locally distorted region and the tail takes over beyond
-    it.
+    it.  V of a float is a 0-d array.
     """
 
     def __init__(self, x_lo: float, dx: float, values, period: float, tail: Potential | None = None):
@@ -177,8 +176,6 @@ class TabulatedPotential(Potential):
             )
         self.values = values
         self._span = span
-        # flat coefficient view for the fast scalar path
-        self._coeffs = self._spline.c
 
     @classmethod
     def from_function(
@@ -195,20 +192,7 @@ class TabulatedPotential(Potential):
         xs = np.linspace(x_lo, x_hi, n + 1)
         return cls(x_lo, xs[1] - xs[0], np.asarray(fn(xs), dtype=float), period, tail)
 
-    def _eval_scalar(self, x: float) -> float:
-        if self.tail is None:
-            x = self.x_lo + (x - self.x_lo) % self._span
-        elif x < self.x_lo or x > self.x_hi:
-            return float(self.tail(x))
-        i = int((x - self.x_lo) / self.dx)
-        i = min(max(i, 0), self.values.size - 2)
-        t = x - (self.x_lo + i * self.dx)
-        c = self._coeffs
-        return ((c[0, i] * t + c[1, i]) * t + c[2, i]) * t + c[3, i]
-
     def __call__(self, x):
-        if np.isscalar(x):
-            return self._eval_scalar(float(x))
         x = np.asarray(x, dtype=float)
         if self.tail is None:
             return self._spline(self.x_lo + (x - self.x_lo) % self._span)

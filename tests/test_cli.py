@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -159,11 +161,45 @@ _LAME1 = {"kind": "lame", "n": 1, "m": 0.5}
     ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 1.0, "c_minus": True}, "'c_minus'"),
     ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 0, "c_minus": -0.0}, "'c_minus'"),
     ("states", {"potential": _LAME1, "epsilon": -1.0, "c_minus": 0.0}, "'c_plus'"),
+    # non-finite numbers, as strings and as the NaN / Infinity literals
+    ("states", {"potential": _LAME1, "epsilon": "nan"}, "'epsilon'"),
+    ("states", {"potential": _LAME1, "epsilon": math.nan}, "'epsilon'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": "inf", "c_minus": 1.0}, "'c_plus'"),
+    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 1.0, "c_minus": -math.inf},
+     "'c_minus'"),
+    ("transform", {"potential": _LAME1, "order": 1, "seed": "bloch", "epsilon": "inf"},
+     "'epsilon'"),
+    ("transform", {"potential": _LAME1, "order": 2,
+                   "seeds": [{"epsilon": -1.0}, {"epsilon": math.nan}]}, "'epsilon'"),
+    ("transform", {"potential": _LAME1, "order": 1, "seed": "general", "epsilon": -1.0,
+                   "c_plus": math.inf, "c_minus": 1.0}, "'c_plus'"),
+    ("invariance", {"potential": _LAME1, "epsilon": "-inf"}, "'epsilon'"),
+    ("bands", {"potential": _LAME1, "e_min": -math.inf, "e_max": 3.0}, "'e_min'"),
+    ("bands", {"potential": _LAME1, "e_min": 0.0, "e_max": "nan"}, "'e_max'"),
+    # a general seed needs a coefficient that is not 0, in a transform too
+    ("transform", {"potential": _LAME1, "order": 1, "seed": "general", "epsilon": -1.0,
+                   "c_plus": 0, "c_minus": 0}, "'c_plus'"),
+    ("transform", {"potential": _LAME1, "order": 2, "seed": "general",
+                   "seeds": [{"epsilon": -1.0, "c_plus": 1.0, "c_minus": 0.0},
+                             {"epsilon": -0.5, "c_plus": -0.0, "c_minus": 0.0}]}, "'c_minus'"),
 ])
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, doc, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("states", ["--epsilon", "nan"], "'epsilon'"),
+    ("states", ["--epsilon", "-1.0", "--c-plus", "inf", "--c-minus", "1.0"], "'c_plus'"),
+    ("invariance", ["--epsilon=-inf"], "'epsilon'"),
+    ("bands", ["--emin", "0.0", "--emax", "inf"], "'e_max'"),
+])
+def test_nonfinite_flag_exit_2(tmp_path, capsys, command, flags, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--lame-n", "1", *flags, "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
 
 

@@ -131,13 +131,16 @@ def test_stiff_region_reported_with_location():
 
         def __call__(self, x):
             # a non-evaluable patch forces the step controller to collapse
-            if np.isscalar(x):
-                return math.nan if 0.9 < x < 1.1 else 0.0
             return np.where((x > 0.9) & (x < 1.1), math.nan, 0.0)
 
     with pytest.raises(StiffIntegrationError) as err:
         transfer_matrix(Broken(), 1.0, 0.0, 2.0)
     assert 0.5 < err.value.x < 1.2
+    # 800 energies over one period run as 2 sub-cells, and the patch reaches
+    # into both: the error names where it starts
+    with pytest.raises(StiffIntegrationError) as err:
+        discriminants(Broken(), np.linspace(-1.0, 5.0, 800))
+    assert err.value.x == pytest.approx(0.9, abs=1e-3)
 
 
 def test_propagate_trace_columns():
@@ -168,7 +171,7 @@ def test_sampled_trace_matches_chained_transfer_matrices(n, m, energy, samples):
 
 
 class _Recording(Potential):
-    """Wraps a potential and records every call: a scalar x, or an array."""
+    """Wraps a potential and records the x of every call as an array, 0-d for a float."""
 
     def __init__(self, base):
         self.base = base
@@ -177,20 +180,46 @@ class _Recording(Potential):
         self.calls = []
 
     def __call__(self, x):
-        self.calls.append(x if np.isscalar(x) else np.array(x))
+        self.calls.append(np.array(x))
         return self.base(x)
 
 
 def test_sampled_propagation_calls_v_on_vectors():
     v = _Recording(lame(2, 0.5))
     propagate(v, 0.4, 0.0, v.period, samples=2048)
-    assert not [x for x in v.calls if np.isscalar(x)]
+    assert all(x.ndim == 1 for x in v.calls)
     assert 1 <= len(v.calls) <= 3
     # a cell of the 16-sample grid needs several steps, which all cells share
     v = _Recording(lame(2, 0.5))
     propagate(v, 0.4, 0.0, v.period, samples=16)
-    assert not [x for x in v.calls if np.isscalar(x)]
+    assert all(x.ndim == 1 for x in v.calls)
     assert len(v.calls) > 1
+
+
+def test_library_calls_v_on_arrays_only(scenario_cache):
+    # every call of V from the library holds a 1-d array of abscissae: sweeps
+    # of any size, traces, cells, shooting and band comparison, on a Lame
+    # potential and on fig3a's tabulated partner
+    from susyband.analysis import compare_band_structure, shooting_eigenvalue
+
+    run = scenario_cache("fig3a")
+    partner, x = run.result.partner, run.result.x
+    for base in (lame(2, 0.5), partner):
+        t = base.period
+        for call in (
+            lambda v: discriminants(v, [0.7]),
+            lambda v: discriminants(v, np.linspace(-1.0, 7.0, 50)),
+            lambda v: discriminants(v, np.linspace(-1.0, 7.0, 800)),
+            lambda v: propagate(v, 0.4, 0.0, t, samples=64),
+            lambda v: floquet.cell_matrices(v, [0.4, 1.2], 0.0, 3 * t),
+            lambda v: compare_band_structure(v, v, np.linspace(0.2, 2.5, 20)),
+        ):
+            v = _Recording(base)
+            call(v)
+            assert v.calls and all(c.ndim == 1 for c in v.calls)
+    v = _Recording(partner)
+    assert shooting_eigenvalue(v, -0.05, 0.05, x_lo=x[0], x_hi=x[-1]) is not None
+    assert v.calls and all(c.ndim == 1 for c in v.calls)
 
 
 def test_advance_evaluates_each_point_once():
@@ -215,7 +244,7 @@ def test_advance_evaluates_each_point_once():
                 transfer_matrices(v, es, x0, x1)
                 assert counts["advance"] == 1
                 assert len(v.calls) > 2
-                assert not [c for c in v.calls if np.isscalar(c)]
+                assert all(c.ndim == 1 for c in v.calls)
                 assert all(np.unique(c).size == c.size for c in v.calls)
                 assert all(not np.array_equal(a, b) for a, b in zip(v.calls, v.calls[1:]))
 
@@ -619,15 +648,15 @@ def test_long_span_matches_chained_periods(n, m):
         assert np.max(err) < 3e-8
 
 
-@pytest.mark.parametrize("size", [1, 50])
+@pytest.mark.parametrize("size", [1, 50, 800])
 @pytest.mark.parametrize(
     "n, m, partner",
     [(n, m, False) for n in (1, 2, 3) for m in (0.1, 0.5, 0.9)] + [(2, 0.5, True)],
 )
 def test_small_batch_accuracy(n, m, partner, size):
-    # a small batch runs as sub-cells of a period; D and the cells agree with
-    # tight solves chained over 64 slices of each period, on Lame potentials
-    # and on a tabulated Bloch partner
+    # a batch runs as sub-cells of a period, 2 of them at 800 energies; D and
+    # the cells agree with tight solves chained over 64 slices of each
+    # period, on Lame potentials and on a tabulated Bloch partner
     v = lame(n, m)
     if partner:
         v = susy1(v, bloch_seed(v, -1.0)[0]).partner
@@ -668,8 +697,9 @@ def test_long_span_pole_raises_first_in_x():
 
 
 def test_long_span_work(monkeypatch, scenario_cache):
-    # an 8-period span of fig3a's partner is one pass of 8 cells x 65 energies,
-    # V called on vectors only, in at most twice the steps of one period
+    # an 8-period span of fig3a's partner is one pass of 8 x 2 sub-cells x 65
+    # energies, V called on arrays only, in at most twice the steps of one
+    # period; each step is one V call, after the one at the cell starts
     run = scenario_cache("fig3a")
     partner, x = run.result.partner, run.result.x
     es = np.linspace(-0.05, 0.05, 65)
@@ -678,20 +708,24 @@ def test_long_span_work(monkeypatch, scenario_cache):
     v = _Recording(partner)
     transfer_matrices(v, es, x[0], 0.0, rtol=1e-9)
     assert counts["advance"] == 1
-    assert not [c for c in v.calls if np.isscalar(c)]
+    assert all(c.ndim == 1 for c in v.calls)
+    assert v.calls[0].size == 16
     one = _Recording(partner)
     floquet._cells(one, es, x[0], x[0] + partner.period, 1, 1e-9)
-    assert all(np.isscalar(c) for c in one.calls)
-    assert len(v.calls) - 1 <= 2 * (len(one.calls) - 1) / 5
+    assert all(c.ndim == 1 for c in one.calls)
+    assert len(v.calls) - 1 <= 2 * (len(one.calls) - 1)
 
-    # a large batch over half a period is one cell with scalar V calls, the
-    # one-cell pass bit for bit
+    # a large batch over half a period is 2 sub-cells, V called on arrays
+    # only and first on the 2 sub-cell starts; D is their tree product bit
+    # for bit
     base = lame(3, 0.5)
     es = np.linspace(-0.5, 13.0, 800)
     v = _Recording(base)
     d = discriminants(v, es)
-    assert all(np.isscalar(c) for c in v.calls)
-    ms = floquet._cells(base, es, 0.0, 0.5 * base.period, 1, floquet.DEFAULT_RTOL)[0]
+    assert all(c.ndim == 1 for c in v.calls)
+    assert np.array_equal(v.calls[0], [0.0, 0.25 * base.period])
+    subs = floquet._cells(base, es, 0.0, 0.5 * base.period, 2, floquet.DEFAULT_RTOL)
+    ms = floquet._tree_product(subs)
     assert np.array_equal(d, 2.0 * (ms[:, 0, 0] * ms[:, 1, 1] + ms[:, 0, 1] * ms[:, 1, 0]))
 
     # a small batch cuts each period into k sub-cells: 16, the cap, for two
