@@ -305,8 +305,8 @@ def shooting_eigenvalue(
         left, right = np.split(floquet.bloch_vectors(far, beta), 2)
         for b in cells[: n // 2]:
             left = np.einsum("nij,nj->ni", b, left)
-        for b in cells[n // 2 :][::-1]:  # adj [[p, q], [r, s]] = [[s, -q], [-r, p]]
-            right = np.einsum("nji,nj->ni", b[:, ::-1, ::-1] * [[1, -1], [-1, 1]], right)
+        for b in floquet._adjugate(cells[n // 2 :][::-1]):
+            right = np.einsum("nij,nj->ni", b, right)
         wronskian = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
         scale = np.sqrt(np.sum(left**2, axis=1) * np.sum(right**2, axis=1))
         return wronskian / scale * (np.sum(left * right, axis=1) / scale)

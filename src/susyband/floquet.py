@@ -8,11 +8,14 @@ ride along in one adaptive integration since V(x) is shared between them,
 which is what makes dense discriminant sweeps cheap.  One loop,
 ``_advance``, takes every step of one cell pass, ``_cells``: cells x
 energies, each cell from the identity, all sharing the step and one call
-of V per step on an array.  A sampled trace is the running product of its
-cells; a span is the pairwise tree product of its one-period cells,
-``cell_matrices``, which cuts each into sub-cells.  The tableau exists
-once, as the arrays _A, _B, _E and _C, and ``_dp5_step`` forms each stage
-as one weighted sum over a preallocated stage buffer.
+of V per step on an array.  A sampled trace is the prefix product of its
+cells, ``_prefix_products``: a Hillis-Steele scan of log2 n vectorized
+rounds on the four matrix entries.  The same scan over the reversed
+``_adjugate``s of the cells, their exact inverses (det 1), gives the
+products back from the far end.  A span is the pairwise tree product of its
+one-period cells, ``cell_matrices``, which cuts each into sub-cells.  The
+tableau exists once, as the arrays _A, _B, _E and _C, and ``_dp5_step``
+forms each stage as one weighted sum over a preallocated stage buffer.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -194,8 +197,8 @@ def propagate(v: Potential, energy: float, x0: float, x1: float, samples: int | 
     breakpoints and the canonical-column matrices b(x_k <- x0) are recorded,
     so (psi, psi')(x_k) = b_k @ (psi, psi')(x0) for any initial data.  The
     cells b(x_k <- x_{k-1}) come from one cell pass, and b_k is their
-    running product.  Without ``samples`` it is ``transfer_matrices`` at one
-    energy.
+    ``_prefix_products``.  Without ``samples`` it is ``transfer_matrices`` at
+    one energy.
 
     Returns (TransferMatrix, trace) where trace is None or an array of shape
     (n+1, 2, 2).
@@ -206,10 +209,7 @@ def propagate(v: Potential, energy: float, x0: float, x1: float, samples: int | 
         y = transfer_matrices(v, [energy], x0, x1)[0]
         return TransferMatrix(y, x0, x1, float(energy)), None
     cells = _cells(v, np.array([float(energy)]), x0, x1, samples, DEFAULT_RTOL)[:, 0]
-    trace = np.empty((samples + 1, 2, 2))
-    trace[0] = np.eye(2)
-    for i, cell in enumerate(cells, 1):
-        trace[i] = cell @ trace[i - 1]
+    trace = _prefix_products(cells)
     return TransferMatrix(trace[-1], x0, x1, float(energy)), trace
 
 
@@ -257,6 +257,34 @@ def transfer_matrices(v, energies, x0, x1, *, rtol=DEFAULT_RTOL):
     ``cell_matrices``.
     """
     return _tree_product(cell_matrices(v, energies, x0, x1, rtol=rtol))
+
+
+def _prefix_products(ms):
+    """The products P_k = ms[k - 1] ... ms[0] of the matrices ms, shape (n, 2, 2),
+    later ones on the left, for k = 0..n (P_0 the identity): shape (n + 1, 2, 2).
+
+    A Hillis-Steele scan: round d multiplies every P_k by P_(k - d) on the
+    right, for d = 1, 2, 4, ... < n + 1, each round one vectorized 2x2 product
+    on the four entries.  The tree has depth log2 n, so P_k carries rounding of
+    log2 n products, not of k.
+    """
+    a, b, c, d = (np.concatenate(([float(i == j)], ms[:, i, j])) for i in (0, 1) for j in (0, 1))
+    step = 1
+    while step < a.size:
+        lo, hi = slice(None, -step), slice(step, None)
+        a[hi], b[hi], c[hi], d[hi] = (a[hi] * a[lo] + b[hi] * c[lo], a[hi] * b[lo] + b[hi] * d[lo],
+                                      c[hi] * a[lo] + d[hi] * c[lo], c[hi] * b[lo] + d[hi] * d[lo])
+        step *= 2
+    return np.stack((a, b, c, d), axis=-1).reshape(-1, 2, 2)
+
+
+def _adjugate(ms):
+    """adj [[p, q], [r, s]] = [[s, -q], [-r, p]] over the last two axes of ms:
+    the exact inverse of a matrix of unit determinant."""
+    out = np.empty_like(ms)
+    out[..., 0, 0], out[..., 1, 1] = ms[..., 1, 1], ms[..., 0, 0]
+    out[..., 0, 1], out[..., 1, 0] = -ms[..., 0, 1], -ms[..., 1, 0]
+    return out
 
 
 def _tree_product(ms):

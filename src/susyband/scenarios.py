@@ -25,7 +25,6 @@ from .seeds import (
     bloch_seed,
     general_seed,
     nodeless_mixing,
-    window_grid,
 )
 
 __all__ = ["Scenario", "ScenarioRun", "SCENARIOS", "run_scenario", "band_structure_for"]
@@ -103,22 +102,25 @@ def _wronskian_score(w, spp):
     return np.where((top == 0.0).any(axis=-1), 0.0, score)
 
 
+def _first_best(scores):
+    """Index of the best of the scores in order: a later one wins only by more
+    than 1e-9 relative.  On an even potential mirror-image candidates tie up
+    to rounding, and the first of them is kept."""
+    values = np.asarray(scores).tolist()
+    best = 0
+    for i, score in enumerate(values):
+        if score > values[best] * (1.0 + 1e-9):
+            best = i
+    return best
+
+
 def _best_bloch_pair(v, e1, e2, **seed_kwargs):
     """Pick the (branch at e1, branch at e2) pairing with the safest Wronskian."""
     pair1 = bloch_seed(v, e1, **seed_kwargs)
     pair2 = bloch_seed(v, e2, **seed_kwargs)
-    best = None
-    best_score = -1.0
-    for s1 in pair1:
-        for s2 in pair2:
-            w = s1.u * s2.u_prime - s1.u_prime * s2.u
-            score = float(_wronskian_score(w, s1.samples_per_period))
-            # on an even potential the two cross pairings are mirror images
-            # and tie up to rounding: a later pair must win by more than that
-            if score > best_score * (1.0 + 1e-9):
-                best_score = score
-                best = (s1, s2)
-    return best
+    pairs = [(s1, s2) for s1 in pair1 for s2 in pair2]
+    w = np.array([s1.u * s2.u_prime - s1.u_prime * s2.u for s1, s2 in pairs])
+    return pairs[_first_best(_wronskian_score(w, pair1[0].samples_per_period))]
 
 
 def _mixing_angles():
@@ -134,30 +136,17 @@ def _mixing_angles():
     return np.concatenate([band, np.pi - band[::-1]])
 
 
-def _best_general_pair(v, e1, e2, *, periods, samples_per_period):
-    """Deterministic mixing search for a zero-free Wronskian with all four
-    branch coefficients active (so both kernel states are normalizable).
+def _best_mixing(basis, spp):
+    """The mixings ((c+, c-) at e1, (c+, c-) at e2) over ``_mixing_angles``
+    whose Wronskian, from the basis Wronskians basis[i][j] of branch i at e1
+    and branch j at e2 (growing first) sampled at spp per period, scores best
+    (``_wronskian_score``, ties by ``_first_best``), and that score.
 
-    The Wronskian is bilinear in the branches, so the four basis Wronskians
-    are evaluated once on the seeds' window at a coarse sampling and the
-    (theta1, theta2) scan is pure arithmetic.
+    The Wronskian is bilinear in the branches, so the scan is pure arithmetic.
     """
-    spp_coarse = 256
-    g1, d1, _ = bloch_branches(v, e1, samples_per_period=spp_coarse)
-    g2, d2, _ = bloch_branches(v, e2, samples_per_period=spp_coarse)
-    x = window_grid(float(v.period), periods, spp_coarse)
-    basis = []
-    for b1 in (g1, d1):
-        u1, up1 = b1.evaluate(x)
-        row = []
-        for b2 in (g2, d2):
-            u2, up2 = b2.evaluate(x)
-            row.append(u1 * up2 - up1 * u2)
-        basis.append(row)
     coeffs = [(np.cos(t), np.sin(t)) for t in _mixing_angles()]
     cos2, sin2 = np.array(coeffs).T[:, :, None]
-    best = None
-    best_score = -1.0
+    scores = []
     for c1 in coeffs:
         # every second angle at once: row j is W at (c1, coeffs[j])
         w = (
@@ -166,12 +155,24 @@ def _best_general_pair(v, e1, e2, *, periods, samples_per_period):
             + c1[1] * cos2 * basis[1][0]
             + c1[1] * sin2 * basis[1][1]
         )
-        scores = _wronskian_score(w, spp_coarse)
-        j = int(np.argmax(scores))
-        if scores[j] > best_score:
-            best_score = float(scores[j])
-            best = (c1, coeffs[j])
-    if best is None or best_score <= 0.0:
+        scores.append(_wronskian_score(w, spp))
+    i, j = divmod(_first_best(np.concatenate(scores)), len(coeffs))
+    return (coeffs[i], coeffs[j]), float(scores[i][j])
+
+
+def _best_general_pair(v, e1, e2, *, periods, samples_per_period):
+    """Deterministic mixing search for a zero-free Wronskian with all four
+    branch coefficients active (so both kernel states are normalizable).
+
+    The four basis Wronskians are evaluated once on the seeds' window at a
+    coarse sampling, and ``_best_mixing`` scans the angles.
+    """
+    spp_coarse = 256
+    pairs = [bloch_branches(v, e, samples_per_period=spp_coarse)[:2] for e in (e1, e2)]
+    window = [[b.window(periods) for b in pair] for pair in pairs]
+    basis = [[u1 * up2 - up1 * u2 for u2, up2 in window[1]] for u1, up1 in window[0]]
+    best, best_score = _best_mixing(basis, spp_coarse)
+    if best_score <= 0.0:
         raise SingularTransformError(
             f"no zero-free Wronskian mixing found for energies {e1}, {e2}"
         )

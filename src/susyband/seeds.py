@@ -3,22 +3,23 @@ their general (non-Bloch) mixtures, with node bookkeeping and superpotentials.
 
 A seed u solves -u'' + V u = eps u.  For eps below the first band edge or
 inside a gap, |D(eps)| > 2 and two real quasi-periodic Bloch solutions
-exist, u(x + T) = beta u(x) with Floquet multipliers beta and 1/beta.  Each
-one is integrated over a single period from the matching eigenvector of the
-Floquet matrix and extended over the working window by the multiplier
-relation, which sidesteps the exponential blow-up a long direct integration
-would accumulate.  General seeds are linear mixtures of the two branches
-and inherit the same algebraic extension.
+exist, u(x + T) = beta u(x) with Floquet multipliers beta and 1/beta.  Both
+come from one cell pass over a single period, each built in its stable
+direction (Ascher, Mattheij & Russell, Numerical Solution of Boundary Value
+Problems for ODEs, 1995): the growing one forward from x = 0 through the
+prefix products of the cells, the decaying one backward from x = T through
+the products of their adjugates.  Each is extended over the working window
+by the multiplier relation, which sidesteps the exponential blow-up a long
+direct integration would accumulate.  General seeds are linear mixtures of
+the two branches and inherit the same algebraic extension.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import floquet
 from .errors import BandEnergyError, SingularSeedError, WindowOverflowError
@@ -55,17 +56,21 @@ KIND_GENERAL = "general"
 
 @dataclass(frozen=True)
 class BlochBranch:
-    """One quasi-periodic solution, stored on a single period.
+    """One quasi-periodic solution, stored as samples on a single period.
 
-    Evaluation anywhere uses u(x) = beta^n u(x - nT) with n = floor(x/T);
-    the multiplier may be negative (antiperiodic-type gaps), in which case
-    the sign alternates per period.
+    ``u``, ``u_prime`` and ``u_second`` hold u, u' and u'' = (V - eps) u at
+    the n + 1 points k T / n, k = 0..n.  Anywhere else u(x) = beta^c u(x - cT)
+    with c = floor(x/T); the multiplier may be negative (antiperiodic-type
+    gaps), in which case the sign alternates per period.  ``tiled`` reads a
+    grid of the samples' spacing over whole periods from the samples
+    themselves; ``evaluate`` interpolates anywhere by cubic Hermite.
     """
 
     multiplier: float
     period: float
-    u_spline: CubicSpline
-    up_spline: CubicSpline
+    u: np.ndarray
+    u_prime: np.ndarray
+    u_second: np.ndarray
 
     def _amplitude(self, cells):
         mag = np.abs(self.multiplier) ** cells
@@ -73,13 +78,35 @@ class BlochBranch:
             return np.where(cells % 2 == 0, mag, -mag)
         return mag
 
+    def tiled(self, first: int, cells: int):
+        """(u, u') at x = first T + j T/n, j = 0..cells n: the samples of each
+        period c scaled by beta^c, and at the last point the first sample of
+        the next period."""
+        amp = self._amplitude(np.arange(first, first + cells + 1))
+        return tuple(np.append((amp[:-1, None] * f[:-1]).ravel(), amp[-1] * f[0])
+                     for f in (self.u, self.u_prime))
+
+    def window(self, periods: int):
+        """``tiled`` over ``window_grid(period, periods, n)``."""
+        return self.tiled(-(periods // 2), periods)
+
     def evaluate(self, x):
-        """(u, u') at arbitrary x, scalar or array."""
+        """(u, u') at arbitrary x, scalar or array: u by cubic Hermite on
+        (u, u'), and u' on (u', u''), in the sample interval that holds x."""
         x = np.asarray(x, dtype=float)
+        n = self.u.size - 1
+        h = self.period / n
         cells = np.floor(x / self.period).astype(int)
-        frac = np.clip(x - cells * self.period, 0.0, self.period)
+        t = np.clip(x - cells * self.period, 0.0, self.period) / h
+        k = np.minimum(t.astype(int), n - 1)
+        s = t - k
+
+        def hermite(f, fp):
+            return (((1.0 + 2.0 * s) * f[k] + s * h * fp[k]) * (1.0 - s) ** 2
+                    + ((3.0 - 2.0 * s) * f[k + 1] - (1.0 - s) * h * fp[k + 1]) * s * s)
+
         amp = self._amplitude(cells)
-        return amp * self.u_spline(frac), amp * self.up_spline(frac)
+        return amp * hermite(self.u, self.u_prime), amp * hermite(self.u_prime, self.u_second)
 
     @property
     def growth_rate(self) -> float:
@@ -87,15 +114,15 @@ class BlochBranch:
         return math.log(abs(self.multiplier)) / self.period
 
 
-def _mix(branches, x):
-    """(u, u') at x of the mixture sum(c * branch) over (c, branch) pairs;
-    branches with c == 0 are skipped."""
+def _mix(branches, sample):
+    """(u, u') of the mixture sum(c * branch) over (c, branch) pairs, each
+    branch read as sample(branch); branches with c == 0 are skipped."""
     u = 0.0
     up = 0.0
     for coeff, branch in branches:
         if coeff == 0.0:
             continue
-        bu, bup = branch.evaluate(x)
+        bu, bup = sample(branch)
         u = u + coeff * bu
         up = up + coeff * bup
     return u, up
@@ -124,7 +151,7 @@ class SeedSolution:
 
     def evaluate(self, x):
         """(u, u') at arbitrary x via the multiplier-extended branches."""
-        return _mix(self.branches, x)
+        return _mix(self.branches, lambda b: b.evaluate(x))
 
     @property
     def growth_exponents(self) -> tuple[float, float]:
@@ -159,15 +186,24 @@ def bloch_branches(
 
     At a band edge the two branches coincide (multiplier +-1).  Raises
     BandEnergyError inside an allowed band, where the multipliers are a
-    complex unit pair and no real Bloch solution exists.  Each branch starts
-    from the Floquet eigenvector in the gauge u(0) = 1, or u'(0) = 1 where
-    u(0) vanishes.
+    complex unit pair and no real Bloch solution exists.  Each branch is the
+    Floquet eigenvector in the gauge u(0) = 1, or u'(0) = 1 where u(0)
+    vanishes, carried through the one cell pass of the period in its stable
+    direction: the growing branch (or the edge solution) forward by the
+    prefix products b(x_k <- 0) of the cells, the decaying one backward from
+    beta times it at T by b(x_k <- T), the prefix products of the reversed
+    adjugates of the cells.  The backward samples are rescaled so that the
+    gauge holds exactly.
     """
     period = v.period
     if period is None:
         raise ValueError("Bloch seeds need a periodic potential")
-    tm, trace = floquet.propagate(v, epsilon, 0.0, period, samples=samples_per_period)
-    ec = floquet.classify_discriminant(tm.trace)
+    n = samples_per_period
+    e = np.array([float(epsilon)])
+    cells = floquet._cells(v, e, 0.0, period, n, floquet.DEFAULT_RTOL)[:, 0]
+    forward = floquet._prefix_products(cells)
+    floquet_matrix = forward[-1]
+    ec = floquet.classify_discriminant(float(floquet_matrix[0, 0] + floquet_matrix[1, 1]))
     d = ec.discriminant
     if ec.tag == floquet.TAG_ALLOWED_BAND:
         raise BandEnergyError(
@@ -179,20 +215,27 @@ def bloch_branches(
         betas = np.array([grow, 1.0 / grow])
     else:  # a band edge: the one (anti)periodic solution
         betas = np.array(ec.multipliers[:1])
-    vecs = floquet.bloch_vectors(np.broadcast_to(tm.matrix, (betas.size, 2, 2)), betas)
-    xs = np.linspace(0.0, period, samples_per_period + 1)
+    vecs = floquet.bloch_vectors(np.broadcast_to(floquet_matrix, (betas.size, 2, 2)), betas)
+    v_minus_e = np.asarray(v(np.linspace(0.0, period, n + 1)), dtype=float) - epsilon
 
-    def build(beta: float, vec: np.ndarray) -> BlochBranch:
-        init = vec / vec[0] if abs(vec[0]) > 1e-9 else np.array([0.0, 1.0])
-        samples = trace @ init  # (n+1, 2)
+    def build(beta: float, vec: np.ndarray, decaying: bool) -> BlochBranch:
+        gauge = 0 if abs(vec[0]) > 1e-9 else 1
+        init = vec / vec[0] if gauge == 0 else np.array([0.0, 1.0])
+        if decaying:
+            backward = floquet._prefix_products(floquet._adjugate(cells[::-1]))[::-1]
+            samples = backward @ (beta * init)
+            samples /= samples[0, gauge]
+        else:
+            samples = forward @ init  # (n+1, 2)
         return BlochBranch(
             multiplier=float(beta),
             period=float(period),
-            u_spline=CubicSpline(xs, samples[:, 0]),
-            up_spline=CubicSpline(xs, samples[:, 1]),
+            u=samples[:, 0],
+            u_prime=samples[:, 1],
+            u_second=v_minus_e * samples[:, 0],
         )
 
-    branches = [build(beta, vec) for beta, vec in zip(betas, vecs)]
+    branches = [build(beta, vec, i == 1) for i, (beta, vec) in enumerate(zip(betas, vecs))]
     return branches[0], branches[-1], d
 
 
@@ -250,18 +293,28 @@ def _riccati_residual(x, u, up, v_values, epsilon, samples_per_period):
     return float(np.max(residual[valid]))
 
 
+def _window_v(v, periods, samples_per_period):
+    """V on ``window_grid(T, periods, samples_per_period)``, once for every
+    seed assembled on that window."""
+    return np.asarray(v(window_grid(float(v.period), periods, samples_per_period)), dtype=float)
+
+
 def _assemble(
-    v, epsilon, kind, multiplier, coefficients, branches,
+    v_x, epsilon, kind, multiplier, coefficients, branches,
     periods, samples_per_period,
 ):
-    period = float(v.period)
+    """The seed sum(c * branch) over the (c, branch) pairs on its window, on
+    which V is v_x (``_window_v``)."""
+    period = branches[0][1].period
     x = window_grid(period, periods, samples_per_period)
     with np.errstate(over="ignore", invalid="ignore"):
-        u, up = _mix(branches, x)
+        u, up = _mix(branches, lambda b: b.window(periods))
     if not (np.isfinite(u).all() and np.isfinite(up).all()):
         beta = max((b.multiplier for c, b in branches if c != 0.0), key=abs)
         raise WindowOverflowError(periods, beta)
-    eval_u = partial(_mix, branches)
+
+    def eval_u(t):
+        return _mix(branches, lambda b: b.evaluate(t))
 
     if kind == KIND_GENERAL:
         nodes, grazing = _count_nodes(x, u, samples_per_period, eval_u)
@@ -279,7 +332,7 @@ def _assemble(
         else:
             nodes = [t for t in nodes if t < seg_x[0] + period - 1e-12]
         node_count = len(nodes)
-    residual = _riccati_residual(x, u, up, v(x), epsilon, samples_per_period)
+    residual = _riccati_residual(x, u, up, v_x, epsilon, samples_per_period)
     return SeedSolution(
         epsilon=float(epsilon),
         kind=kind,
@@ -312,10 +365,11 @@ def bloch_seed(
     single (anti)periodic solution comes back twice, flagged as such.
     """
     grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period)
+    v_x = _window_v(v, periods, samples_per_period)
 
     def assemble(branch, kind):
         return _assemble(
-            v, epsilon, kind, branch.multiplier, None,
+            v_x, epsilon, kind, branch.multiplier, None,
             [(1.0, branch)], periods, samples_per_period,
         )
 
@@ -344,7 +398,8 @@ def general_seed(
             "degenerate and no two-parameter mixture exists"
         )
     return _assemble(
-        v, epsilon, KIND_GENERAL, None, (float(c_plus), float(c_minus)),
+        _window_v(v, periods, samples_per_period), epsilon, KIND_GENERAL, None,
+        (float(c_plus), float(c_minus)),
         [(c_plus, grow), (c_minus, decay)], periods, samples_per_period,
     )
 
@@ -361,19 +416,20 @@ def node_scan(
     The ratio line (including infinity, the pure decaying branch) is
     parametrized by an angle theta in [0, pi): (c+, c-) = (cos t, sin t).
     Returns a list of (ratio, node_count); an even resolution lands exactly
-    on the two Bloch endpoints.
+    on the two Bloch endpoints.  A node is a sign change between samples of
+    the window or, as in ``_count_nodes``, a sample that is exactly zero
+    (the last one excepted).
     """
     grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=_SCAN_SAMPLES)
     if grow is decay:
         raise BandEnergyError("node scan is undefined at a band edge")
-    x = window_grid(float(v.period), periods, _SCAN_SAMPLES)
-    u_grow, _ = grow.evaluate(x)
-    u_decay, _ = decay.evaluate(x)
+    u_grow, _ = grow.window(periods)
+    u_decay, _ = decay.window(periods)
     thetas = np.arange(scan_resolution) * (math.pi / scan_resolution)
     counts = []
     for block in np.split(thetas, np.arange(_SCAN_BLOCK, scan_resolution, _SCAN_BLOCK)):
         mixtures = np.cos(block)[:, None] * u_grow + np.sin(block)[:, None] * u_decay
-        counts.extend(sign_changes(mixtures).sum(axis=1))
+        counts.extend(sign_changes(mixtures).sum(axis=1) + (mixtures[:, :-1] == 0.0).sum(axis=1))
     out = []
     for theta, count in zip(thetas, counts):
         ratio = math.inf if abs(theta - 0.5 * math.pi) < 1e-12 else math.tan(theta)

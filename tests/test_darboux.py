@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susyband.darboux import (
@@ -337,6 +337,28 @@ def test_bloch_partner_keeps_discriminant(n, m, epsilon):
     energies = np.linspace(*v.band_window, 16)
     d = discriminants(v, energies)
     assert np.all(np.abs(discriminants(partner, energies) - d) <= 1e-5 * np.maximum(1.0, np.abs(d)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    m=st.floats(0.05, 0.95),
+    epsilon=st.floats(-2.0, -0.1),
+)
+@example(n=3, m=0.95, epsilon=-0.1)  # beta = 5.2e6
+@example(n=3, m=0.95, epsilon=-2.0)  # beta = 4.4e7
+def test_inverse_transform_round_trip(n, m, epsilon):
+    # the partner's decaying Bloch solution at epsilon is 1/u; the transform
+    # it seeds undoes the first and gives V back.  With the decaying branch
+    # built forward, beta >= 1e6 failed the Riccati gate
+    v = lame(n, m)
+    grow, _ = bloch_seed(v, epsilon)
+    partner = susy1(v, grow).partner
+    _, back = bloch_seed(partner, epsilon)
+    assert back.multiplier == pytest.approx(1.0 / grow.multiplier, rel=1e-9)
+    again = susy1(partner, back)
+    assert np.array_equal(again.x, grow.x)
+    assert np.max(np.abs(again.partner_values - v(again.x))) < 1e-9
 
 
 @pytest.fixture(scope="module")

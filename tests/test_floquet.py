@@ -320,6 +320,33 @@ def test_sampled_trace_off_origin(n, m, energy):
     assert np.max(err) < 5e-11
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 1000])
+def test_prefix_products_against_running_product(n):
+    # unit-determinant cells near the identity, as a trace's; the scan
+    # multiplies in another order, so the loop is matched to rounding, and
+    # the scan over the reversed adjugates gives b(x_k <- x_n) = P_k P_n^-1
+    rng = np.random.default_rng(n)
+    ms = np.eye(2) + 0.05 * rng.standard_normal((n, 2, 2))
+    ms /= np.sqrt(np.linalg.det(ms))[:, None, None]
+    loop = [np.eye(2)]
+    for m in ms:
+        loop.append(m @ loop[-1])
+    loop = np.array(loop)
+    scan = floquet._prefix_products(ms)
+    assert scan.shape == (n + 1, 2, 2)
+    assert np.array_equal(scan[0], np.eye(2))
+    assert np.max(np.abs(scan - loop)) < 1e-13 * np.max(np.abs(loop))
+    back = floquet._prefix_products(floquet._adjugate(ms[::-1]))[::-1]
+    assert np.array_equal(back[-1], np.eye(2))
+    assert np.max(np.abs(back @ loop[-1] - loop)) < 1e-13 * np.max(np.abs(loop)) ** 2
+
+
+def test_adjugate_inverts_unit_determinant():
+    m = np.array([[[2.0, 3.0], [1.0, 2.0]], [[0.5, -1.0], [0.25, 1.5]]])
+    assert np.array_equal(floquet._adjugate(m), [[[2.0, -3.0], [-1.0, 2.0]], [[1.5, 1.0], [-0.25, 0.5]]])
+    assert np.array_equal(floquet._adjugate(m[0]) @ m[0], np.eye(2))
+
+
 def test_sampled_propagation_work():
     # at 2048 samples every cell takes one step: V at the cell starts, then
     # at the five stage abscissae of all cells

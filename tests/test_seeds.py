@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import io
 import math
 import tracemalloc
@@ -7,13 +9,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from susyband import floquet, seeds
 from susyband.elliptic import complete_k, jacobi_sncndn
 from susyband.errors import BandEnergyError, SingularSeedError, WindowOverflowError
 from susyband.floquet import CSV_BLOCK_ROWS, propagate
 from susyband.potentials import ConstantPotential, lame
 from susyband.seeds import (
     RICCATI_GATE,
+    BlochBranch,
+    bloch_branches,
     bloch_seed,
     general_seed,
     node_scan,
@@ -129,8 +136,6 @@ def test_node_scan_below_first_edge():
 
 def test_node_scan_brute_force_oracle():
     # independent count: dense sign changes of the mixture, no node_scan code
-    from susyband.seeds import bloch_branches
-
     grow, decay, _ = bloch_branches(LAME1, 0.0, samples_per_period=512)
     xs = np.linspace(-8 * LAME1.period, 8 * LAME1.period, 16 * 512 + 1)
     ug, _ = grow.evaluate(xs)
@@ -152,11 +157,23 @@ def test_node_scan_in_gap_floor():
     assert min_count >= 15  # 16-period window, about one node per period
 
 
+def test_node_scan_counts_exact_zero_samples(monkeypatch):
+    # a mixture that is exactly 0 on a sample, between samples of opposite
+    # signs, has a node there, as in _count_nodes: the growing branch below
+    # runs 1, 0, -1, 0 over each of 4 samples per period, two nodes a period
+    ones = np.ones(5)
+    wave = BlochBranch(1.0, 1.0, np.array([1.0, 0.0, -1.0, 0.0, 1.0]), ones, ones)
+    flat = BlochBranch(1.0, 1.0, ones, ones, ones)
+    monkeypatch.setattr(seeds, "bloch_branches", lambda *args, **kwargs: (wave, flat, 3.0))
+    scan = node_scan(LAME1, -1.0, 4, periods=16)
+    assert scan[0] == (0.0, 32)  # the angle 0: the growing branch alone
+    # the angle pi/2: the flat branch, plus cos(pi/2) = 6e-17 of the wave
+    assert scan[2] == (math.inf, 0)
+
+
 def test_node_scan_long_window_compares_signs():
     # over 200 periods the window amplitudes reach about 1e155, where the
     # product of two neighbouring samples overflows
-    from susyband.seeds import bloch_branches
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         scan = node_scan(LAME1, -1.0, 16, periods=200)
@@ -374,3 +391,73 @@ def test_seeds_sampled_on_window_grid(periods):
         assert np.array_equal(seed.x, x)
         assert seed.window == (x[0], x[-1])
         assert seed.samples_per_period == 64
+
+
+# energies below the spectrum (V >= 0), with multipliers from about 1.2 up
+# to 4.4e7 (lame(3, 0.95) at -2)
+_BELOW_SPECTRUM = dict(n=st.sampled_from([1, 2, 3]), m=st.floats(0.05, 0.95),
+                       epsilon=st.floats(-2.0, -0.1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(**_BELOW_SPECTRUM)
+def test_decaying_bloch_seed_passes_gate(n, m, epsilon):
+    # built forward, the decaying branch jumped at every period boundary by
+    # rounding amplified by beta^2, and failed the gate from beta ~ 1e4 on
+    grow, decay = bloch_seed(lame(n, m), epsilon)
+    assert decay.riccati_residual < RICCATI_GATE
+    assert grow.riccati_residual < RICCATI_GATE
+
+
+def test_large_multiplier_seeds_far_inside_gate():
+    # the decaying seeds read 6.0e-2 and 2.3e-6 and the general seed 2.6e-7
+    # when the decaying branch was built forward
+    for n, m, epsilon in ((3, 0.95, -0.1), (2, 0.8, -2.0)):
+        _, decay = bloch_seed(lame(n, m), epsilon)
+        assert decay.riccati_residual <= 1e-8
+    v = lame(3, 0.61)
+    assert general_seed(v, 0.3, *nodeless_mixing(v, 0.3)).riccati_residual <= 1e-8
+
+
+@pytest.mark.parametrize("n, m, epsilon", [(3, 0.95, -0.1), (2, 0.8, -2.0), (2, 0.5, 1.6), (1, 0.5, 0.5)])
+def test_bloch_branches_one_pass_in_stable_directions(monkeypatch, n, m, epsilon):
+    # one cell pass per call; each branch holds the gauge u(0) = 1 exactly
+    # and closes on u(T) = beta u(0) to rounding, the decaying one too
+    calls = []
+    cells = floquet._cells
+    monkeypatch.setattr(floquet, "_cells", lambda *args: calls.append(args) or cells(*args))
+    grow, decay, _ = bloch_branches(lame(n, m), epsilon, samples_per_period=1024)
+    assert len(calls) == 1
+    for branch in (grow, decay):
+        assert branch.u.shape == branch.u_prime.shape == branch.u_second.shape == (1025,)
+        assert branch.u[0] == 1.0
+        assert branch.u[-1] == pytest.approx(branch.multiplier, rel=1e-13)
+
+
+def test_seeds_imports_no_scipy():
+    tree = ast.parse(inspect.getsource(seeds))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not any(name.split(".")[0] == "scipy" for name in imported)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 1.6])
+def test_branch_samples_tile_and_interpolate(epsilon):
+    # on the window grid the branch reads its own samples; between them
+    # Hermite interpolation agrees with a trace at twice the sampling
+    v = LAME2
+    grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=512)
+    x = window_grid(v.period, 5, 512)
+    _, trace = propagate(v, epsilon, 0.0, v.period, samples=1024)
+    mid = np.linspace(0.0, v.period, 1025)[1::2]
+    for branch in (grow, decay):
+        u, up = branch.window(5)
+        u_x, up_x = branch.evaluate(x)
+        assert np.max(np.abs(u - u_x) / np.maximum(np.abs(u), 1.0)) < 1e-12
+        assert np.max(np.abs(up - up_x) / np.maximum(np.abs(up), 1.0)) < 1e-12
+        assert np.array_equal(u[2 * 512 : 3 * 512 + 1], branch.u[:-1].tolist() + [branch.multiplier * branch.u[0]])
+        direct = (trace @ np.array([branch.u[0], branch.u_prime[0]]))[1::2]
+        u_mid, up_mid = branch.evaluate(mid)
+        assert np.max(np.abs(u_mid - direct[:, 0])) < 1e-9 * np.max(np.abs(direct[:, 0]))
+        assert np.max(np.abs(up_mid - direct[:, 1])) < 1e-9 * np.max(np.abs(direct[:, 1]))
