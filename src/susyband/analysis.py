@@ -23,7 +23,7 @@ from .errors import (
 )
 from .numdiff import itp_root
 from .potentials import Potential
-from .seeds import bloch_seed
+from .seeds import _growing_seed
 
 __all__ = [
     "InvarianceReport",
@@ -175,20 +175,20 @@ def _product_variation(grow, decay, delta, period, samples=2048):
 def invariance_test(v: Potential, epsilon: float, **seed_kwargs) -> InvarianceReport:
     """Test whether the first-order transform at epsilon is a displaced copy.
 
-    Builds the Bloch pair at epsilon, transforms with the growing one, fits
-    the displacement of the partner against the original, and evaluates the
-    constancy of u^beta(x) u^{1/beta}(x + delta).  Both pairings of the
-    branches are tried and the better product residual is reported.
+    Builds the growing Bloch seed and the decaying branch at epsilon,
+    transforms with the seed, fits the displacement of the partner against
+    the original, and evaluates the constancy of u^beta(x) u^{1/beta}(x +
+    delta).  Both pairings of the branches are tried and the better product
+    residual is reported.
 
     Below the first band edge the Bloch pair is nodeless and the test is the
     meaningful one.  At energies inside a finite gap the Bloch solutions
     carry nodes, the transform is singular, and the product necessarily
     touches zero, so the verdict there is not-invariant by construction.
     """
-    grow, decay = bloch_seed(v, epsilon, **seed_kwargs)
+    grow, branch_d = _growing_seed(v, epsilon, **seed_kwargs)
     period = float(v.period)
     branch_g = grow.branches[0][1]
-    branch_d = decay.branches[0][1]
 
     def product_residual(delta, samples=2048):
         return min(

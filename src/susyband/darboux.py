@@ -193,7 +193,7 @@ def susy1(v: Potential, seed: SeedSolution) -> TransformResult:
 
     x = seed.x
     eps = seed.epsilon
-    v_values = np.asarray(v(x), dtype=float)
+    v_values = seed.v_values
     alpha = seed.u_prime / seed.u
     partner_values = 2.0 * eps - v_values + 2.0 * alpha * alpha
 
@@ -266,7 +266,7 @@ def susy2(v: Potential, seed1: SeedSolution, seed2: SeedSolution) -> TransformRe
             "Wronskian vanishes inside the window", zeros
         )
 
-    v_values = np.asarray(v(x), dtype=float)
+    v_values = seed1.v_values
     beta = -wp / w
     partner_values = v_values + 2.0 * beta_prime
     gamma = 0.5 * beta * beta - 0.5 * beta_prime - v_values + 0.5 * (

@@ -9,6 +9,7 @@ regions.  The acceptance suite and the CLI both run them by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,14 +93,19 @@ def band_structure_for(v: LamePotential) -> floquet.BandStructure:
     return floquet.band_edges(v, *v.band_window)
 
 
-def _wronskian_score(w, spp):
-    """min |W| / max |W| over the worst period cell, along the last axis;
-    0 where W vanishes on a whole cell."""
+def _cell_ratios(w, spp):
+    """(min |W| / max |W|, max |W|) on each period cell, along the last axis."""
     mag = np.abs(w)
     top = cell_max(mag, spp)
     with np.errstate(invalid="ignore"):
-        score = np.min(-cell_max(-mag, spp) / top, axis=-1)
-    return np.where((top == 0.0).any(axis=-1), 0.0, score)
+        return -cell_max(-mag, spp) / top, top
+
+
+def _wronskian_score(w, spp):
+    """min |W| / max |W| over the worst period cell, along the last axis;
+    0 where W vanishes on a whole cell."""
+    ratio, top = _cell_ratios(w, spp)
+    return np.where((top == 0.0).any(axis=-1), 0.0, np.min(ratio, axis=-1))
 
 
 def _first_best(scores):
@@ -136,28 +142,52 @@ def _mixing_angles():
     return np.concatenate([band, np.pi - band[::-1]])
 
 
+#: the mixing search bounds each score on every _BOUND_STEP-th sample
+_BOUND_STEP = 32
+
+
 def _best_mixing(basis, spp):
     """The mixings ((c+, c-) at e1, (c+, c-) at e2) over ``_mixing_angles``
     whose Wronskian, from the basis Wronskians basis[i][j] of branch i at e1
     and branch j at e2 (growing first) sampled at spp per period, scores best
     (``_wronskian_score``, ties by ``_first_best``), and that score.
 
-    The Wronskian is bilinear in the branches, so the scan is pure arithmetic.
+    The Wronskian is bilinear in the branches, so the search is pure
+    arithmetic.  Scored on every step-th sample, where step divides spp, a
+    cell's min can only rise and its max only fall, so that score bounds the
+    true one from above (a cell whose samples there all vanish bounds it by
+    1).  ``_first_best`` is replayed in order, one row of second mixings at a
+    time: the row's bounds take one pass on the thinned window, and only the
+    candidates whose bound beats the best so far by its 1e-9 margin are
+    scored on the whole window, since no other one could win its turn.
     """
     coeffs = [(np.cos(t), np.sin(t)) for t in _mixing_angles()]
-    cos2, sin2 = np.array(coeffs).T[:, :, None]
-    scores = []
-    for c1 in coeffs:
-        # every second angle at once: row j is W at (c1, coeffs[j])
-        w = (
-            c1[0] * cos2 * basis[0][0]
-            + c1[0] * sin2 * basis[0][1]
-            + c1[1] * cos2 * basis[1][0]
-            + c1[1] * sin2 * basis[1][1]
+    cos_sin = np.array(coeffs).T
+    # products[p][q][i, j] = coeffs[i][p] * coeffs[j][q], the factor of basis[p][q]
+    products = [[np.multiply.outer(a, b) for b in cos_sin] for a in cos_sin]
+
+    def wronskians(at, basis):
+        """W of the mixings products[...][at], sampled as basis."""
+        return (
+            products[0][0][at][..., None] * basis[0][0]
+            + products[0][1][at][..., None] * basis[0][1]
+            + products[1][0][at][..., None] * basis[1][0]
+            + products[1][1][at][..., None] * basis[1][1]
         )
-        scores.append(_wronskian_score(w, spp))
-    i, j = divmod(_first_best(np.concatenate(scores)), len(coeffs))
-    return (coeffs[i], coeffs[j]), float(scores[i][j])
+
+    step = math.gcd(spp, _BOUND_STEP)
+    thin = [[b[::step] for b in row] for row in basis]
+    best, best_score = None, -math.inf
+    for i in range(len(coeffs)):
+        ratio, top = _cell_ratios(wronskians(i, thin), spp // step)
+        bound = np.min(np.where(top == 0.0, 1.0, ratio), axis=-1)
+        rows = np.nonzero(bound > best_score * (1.0 + 1e-9))[0]
+        scores = _wronskian_score(wronskians((i, rows), basis), spp)
+        for j, score in zip(rows.tolist(), scores.tolist()):
+            if best is None or score > best_score * (1.0 + 1e-9):
+                best, best_score = (i, j), score
+    i, j = best
+    return (coeffs[i], coeffs[j]), best_score
 
 
 def _best_general_pair(v, e1, e2, *, periods, samples_per_period):

@@ -46,8 +46,6 @@ DEFAULT_PERIODS = 16
 RICCATI_GATE = 1e-6
 #: samples per period of the window on which node_scan counts sign changes
 _SCAN_SAMPLES = 256
-#: mixing angles per block of node_scan, which bounds the table held at once
-_SCAN_BLOCK = 64
 
 KIND_BLOCH_EDGE = "bloch_edge"
 KIND_BLOCH_GAP = "bloch_gap"
@@ -131,7 +129,8 @@ def _mix(branches, sample):
 @dataclass(frozen=True)
 class SeedSolution:
     """A sampled transformation function over the working window, the grid
-    ``window_grid(period, periods, samples_per_period)``."""
+    ``window_grid(period, periods, samples_per_period)``, with the potential's
+    values ``v_values`` on it."""
 
     epsilon: float
     kind: str
@@ -148,6 +147,7 @@ class SeedSolution:
     grazing: tuple[float, ...]
     riccati_residual: float
     branches: tuple[tuple[float, BlochBranch], ...]
+    v_values: np.ndarray
 
     def evaluate(self, x):
         """(u, u') at arbitrary x via the multiplier-extended branches."""
@@ -349,7 +349,22 @@ def _assemble(
         grazing=grazing,
         riccati_residual=residual,
         branches=tuple((float(c), b) for c, b in branches),
+        v_values=v_x,
     )
+
+
+def _growing_seed(
+    v, epsilon, *, periods=DEFAULT_PERIODS, samples_per_period=DEFAULT_SAMPLES_PER_PERIOD,
+):
+    """The growing Bloch seed at epsilon (the edge seed at a band edge), and
+    the decaying branch, which is the growing one at a band edge."""
+    grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=samples_per_period)
+    seed = _assemble(
+        _window_v(v, periods, samples_per_period), epsilon,
+        KIND_BLOCH_EDGE if grow is decay else KIND_BLOCH_GAP, grow.multiplier, None,
+        [(1.0, grow)], periods, samples_per_period,
+    )
+    return seed, decay
 
 
 def bloch_seed(
@@ -364,19 +379,13 @@ def bloch_seed(
     Ordered (growing, decaying) with |beta| > 1 first.  At a band edge the
     single (anti)periodic solution comes back twice, flagged as such.
     """
-    grow, decay, d = bloch_branches(v, epsilon, samples_per_period=samples_per_period)
-    v_x = _window_v(v, periods, samples_per_period)
-
-    def assemble(branch, kind):
-        return _assemble(
-            v_x, epsilon, kind, branch.multiplier, None,
-            [(1.0, branch)], periods, samples_per_period,
-        )
-
-    if grow is decay:
-        seed = assemble(grow, KIND_BLOCH_EDGE)
-        return seed, seed
-    return assemble(grow, KIND_BLOCH_GAP), assemble(decay, KIND_BLOCH_GAP)
+    grow, decay = _growing_seed(v, epsilon, periods=periods, samples_per_period=samples_per_period)
+    if grow.kind == KIND_BLOCH_EDGE:
+        return grow, grow
+    return grow, _assemble(
+        grow.v_values, epsilon, KIND_BLOCH_GAP, decay.multiplier, None,
+        [(1.0, decay)], periods, samples_per_period,
+    )
 
 
 def general_seed(
@@ -404,6 +413,36 @@ def general_seed(
     )
 
 
+def _flip_indices(cos, sin, u_grow, u_decay):
+    """Per window sample, the float sign sigma of the mixture cos[k] u_grow +
+    sin[k] u_decay at small k, the first index f at which the sign differs
+    from sigma (the angle count K if none does), and the sign at f.
+
+    For theta in [0, pi) the exact mixture r cos(theta - phi) changes sign
+    once, so on a grid of angles far coarser than rounding its float sign
+    reads sigma below f, -sigma above f, and at f anything but sigma (0 at an
+    exact zero).  f comes from a bisection over k that evaluates the same
+    float expression as the full table at one angle per sample.  k = 0 reads
+    u_grow itself (sin 0 = 0); where it is 0, sigma is the sign the mixture
+    leaves behind, so f = 0.
+    """
+    k_max = cos.size - 1
+
+    def sign(k):
+        return np.sign(cos[k] * u_grow + sin[k] * u_decay)
+
+    sigma = np.where(u_grow != 0.0, np.sign(u_grow), -np.sign(u_decay))
+    lo = np.zeros(u_grow.shape, dtype=np.intp)
+    hi = np.full(u_grow.shape, cos.size)
+    for _ in range(cos.size.bit_length()):
+        mid = (lo + hi) // 2
+        same = sign(np.minimum(mid, k_max)) == sigma
+        open_ = lo < hi
+        lo = np.where(open_ & same, mid + 1, lo)
+        hi = np.where(open_ & ~same, mid, hi)
+    return sigma, lo, sign(np.minimum(lo, k_max))
+
+
 def node_scan(
     v: Potential,
     epsilon: float,
@@ -419,17 +458,48 @@ def node_scan(
     on the two Bloch endpoints.  A node is a sign change between samples of
     the window or, as in ``_count_nodes``, a sample that is exactly zero
     (the last one excepted).
+
+    The counts are those of the full table of mixtures, found without it:
+    each sample's float sign over the angles flips once, at the index
+    ``_flip_indices`` finds, so a neighbour pair's sign change and a
+    sample's zero are constant between at most four breakpoints (each flip
+    index and the one after it).  The changes at the breakpoints go into a
+    difference array over the angles, whose running sum is the count.
     """
     grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=_SCAN_SAMPLES)
     if grow is decay:
         raise BandEnergyError("node scan is undefined at a band edge")
-    u_grow, _ = grow.window(periods)
-    u_decay, _ = decay.window(periods)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_grow, _ = grow.window(periods)
+        u_decay, _ = decay.window(periods)
+    if not (np.isfinite(u_grow).all() and np.isfinite(u_decay).all()):
+        raise WindowOverflowError(periods, grow.multiplier)
     thetas = np.arange(scan_resolution) * (math.pi / scan_resolution)
-    counts = []
-    for block in np.split(thetas, np.arange(_SCAN_BLOCK, scan_resolution, _SCAN_BLOCK)):
-        mixtures = np.cos(block)[:, None] * u_grow + np.sin(block)[:, None] * u_decay
-        counts.extend(sign_changes(mixtures).sum(axis=1) + (mixtures[:, :-1] == 0.0).sum(axis=1))
+    sigma, flip, at_flip = _flip_indices(np.cos(thetas), np.sin(thetas), u_grow, u_decay)
+
+    def sign_at(k, side):
+        """The float signs of the samples in slice ``side`` at angle index k,
+        one index per sample."""
+        f, sg = flip[side], sigma[side]
+        return np.where(k < f, sg, np.where(k == f, at_flip[side], -sg))
+
+    def nodes_at(k):
+        """Per sample but the last, 1 where it and its right neighbour have
+        opposite float signs at angle index k (one per sample), and 1 where it
+        is exactly zero there."""
+        a, b = sign_at(k, slice(None, -1)), sign_at(k, slice(1, None))
+        return (a * b < 0.0).astype(int) + (a == 0.0)
+
+    # each neighbour pair's breakpoints, sorted; its count is constant between
+    lo, hi = np.minimum(flip[:-1], flip[1:]), np.maximum(flip[:-1], flip[1:])
+    diff = np.zeros(scan_resolution + 2, dtype=int)
+    prev = nodes_at(np.zeros_like(lo))
+    diff[0] = prev.sum()
+    for k in (lo, np.minimum(lo + 1, hi), np.maximum(lo + 1, hi), hi + 1):
+        now = nodes_at(k)
+        diff += np.bincount(k, weights=now - prev, minlength=diff.size).astype(int)
+        prev = now
+    counts = np.cumsum(diff)[:scan_resolution]
     out = []
     for theta, count in zip(thetas, counts):
         ratio = math.inf if abs(theta - 0.5 * math.pi) < 1e-12 else math.tan(theta)

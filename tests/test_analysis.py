@@ -16,6 +16,7 @@ from susyband.analysis import (
     shooting_eigenvalue,
 )
 from susyband.errors import BandEnergyError, PeriodMismatchError
+from susyband import seeds as seeds_module
 from susyband.darboux import susy1
 from susyband.floquet import band_edges, discriminant, growing_multiplier
 from susyband.numdiff import itp_root
@@ -174,6 +175,26 @@ def test_invariance_at_edge_half_period():
 def test_invariance_midband_error():
     with pytest.raises(BandEnergyError):
         invariance_test(LAME1, 0.75)
+
+
+@pytest.mark.parametrize("n, epsilon, fields", [
+    (1, -1.0, (2.996503735347119, 5.168088179630104e-14, 2.5087171120640803e-14, True)),
+    (2, 0.4, (2.866879127565931, 0.18271049650008842, 0.029253003543369967, False)),
+    (1, 0.5, (1.8540746773013714, 2.886579864025407e-15, 2.386540537199315e-14, True)),
+    (2, 1.6, (0.9922196515245622, math.inf, 1.0000004441229309, False)),
+])
+def test_invariance_assembles_one_seed(monkeypatch, n, epsilon, fields):
+    # only the growing seed is assembled; the decaying branch comes from the
+    # same bloch_branches call.  The fields are those recorded when both
+    # seeds were assembled: below the spectrum, at an edge and in a gap
+    calls = []
+    assemble = seeds_module._assemble
+    monkeypatch.setattr(seeds_module, "_assemble",
+                        lambda *args: calls.append(args) or assemble(*args))
+    report = invariance_test(lame(n, 0.5), epsilon)
+    assert len(calls) == 1
+    assert (report.delta, report.residual_displacement, report.residual_product,
+            report.invariant) == fields
 
 
 def test_invariance_report_schema():

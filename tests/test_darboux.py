@@ -100,6 +100,30 @@ def test_susy2_wronskian_zero_rejected():
     assert len(err.value.zeros) >= 1
 
 
+class _RecordingPotential:
+    """v, recording the size of every array it is called on."""
+
+    def __init__(self, v):
+        self.v, self.period, self.sizes = v, v.period, []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.v(x)
+
+
+def test_transforms_reuse_the_seeds_window_v():
+    # the seeds carry V on the window; the transforms read it from there, the
+    # same bits as V evaluated again, and call V only on one period
+    grow, decay = bloch_seed(LAME2, -0.5)
+    general = general_seed(LAME2, -0.3, 0.6, 0.8)
+    window = grow.x.size
+    for seeds in ((grow,), (general,), (grow, general), (decay, general)):
+        v = _RecordingPotential(LAME2)
+        result = susy1(v, *seeds) if len(seeds) == 1 else susy2(v, *seeds)
+        assert window not in v.sizes and v.sizes
+        assert np.array_equal(result.v_values, LAME2(grow.x))
+
+
 def test_susy2_edge_pair(scenario_cache):
     run = scenario_cache("fig1d")
     r = run.result

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from susyband.numdiff import cell_max, local_max, sign_changes
+from susyband.numdiff import cell_max, derivative, local_max, sign_changes
 
 
 def test_cell_max_inclusive_segments():
@@ -35,3 +36,16 @@ def test_sign_changes_match_sign_product():
     want = signs[..., :-1] * signs[..., 1:] < 0.0
     assert np.array_equal(sign_changes(a), want)
     assert np.array_equal(sign_changes(a[2]), want[2])
+
+
+@pytest.mark.parametrize("size", [7, 8, 32769])
+def test_derivative_end_values_from_end_samples(size):
+    # the six end values come from np.gradient on seven samples at each end,
+    # bit for bit those of np.gradient over the whole array
+    rng = np.random.default_rng(size)
+    y = rng.standard_normal(size) * 10.0 ** rng.integers(-5, 5, size)
+    h = float(rng.uniform(1e-3, 1.0))
+    d = derivative(y, h)
+    edge = np.gradient(y, h, edge_order=2)
+    assert np.array_equal(d[:3], edge[:3])
+    assert np.array_equal(d[-3:], edge[-3:])

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from susyband import scenarios
 from susyband.potentials import lame
-from susyband.scenarios import SCENARIOS, _best_mixing, _mixing_angles, run_scenario
+from susyband.scenarios import (
+    SCENARIOS,
+    _best_mixing,
+    _first_best,
+    _mixing_angles,
+    _wronskian_score,
+    run_scenario,
+)
 from susyband.seeds import bloch_branches, window_grid
 
 
@@ -119,19 +127,98 @@ def test_bloch_pair_tie_keeps_first(scenario_cache):
     assert abs(run.seeds[0].multiplier) > 1.0 > abs(run.seeds[1].multiplier)
 
 
+def _best_mixing_reference(basis, spp):
+    """The mixing search scoring every candidate on the whole window: one
+    row of second mixings per first mixing, the best by ``_first_best``."""
+    coeffs = [(np.cos(t), np.sin(t)) for t in _mixing_angles()]
+    cos2, sin2 = np.array(coeffs).T[:, :, None]
+    scores = []
+    for c1 in coeffs:
+        w = (
+            c1[0] * cos2 * basis[0][0]
+            + c1[0] * sin2 * basis[0][1]
+            + c1[1] * cos2 * basis[1][0]
+            + c1[1] * sin2 * basis[1][1]
+        )
+        scores.append(_wronskian_score(w, spp))
+    i, j = divmod(_first_best(np.concatenate(scores)), len(coeffs))
+    return (coeffs[i], coeffs[j]), float(scores[i][j])
+
+
+def _basis(n, e1, e2, spp=256, periods=16):
+    """The four basis Wronskians of ``_best_general_pair`` on lame(n, 1/2)."""
+    v = lame(n, 0.5)
+    pairs = [bloch_branches(v, e, samples_per_period=spp)[:2] for e in (e1, e2)]
+    window = [[b.window(periods) for b in pair] for pair in pairs]
+    return [[u1 * up2 - up1 * u2 for u2, up2 in window[1]] for u1, up1 in window[0]]
+
+
+@pytest.mark.parametrize("n, e1, e2", [
+    (1, 1.2, 1.3), (2, 1.51, 2.51),  # fig3c, fig3d
+    (2, 1.6, 2.9), (3, 2.3, 5.0),  # the gaps of fig2c, fig2d
+    (1, -1.0, -0.5), (2, 0.0, 0.4), (3, -0.5, 0.2),  # below the spectrum
+])
+def test_best_mixing_matches_exhaustive_search(n, e1, e2):
+    basis = _basis(n, e1, e2)
+    assert _best_mixing(basis, 256) == _best_mixing_reference(basis, 256)
+
+
+def test_best_mixing_with_a_cell_zero_on_its_bound_samples():
+    # every 32nd sample of the middle cell is 0 in each basis Wronskian, so
+    # the thinned window bounds no candidate there (bound 1, not 0 / 0); the
+    # true scores are all 0 and the first candidate is kept
+    basis = _basis(2, 1.51, 2.51)
+    zeroed = [[b.copy() for b in row] for row in basis]
+    for row in zeroed:
+        for b in row:
+            b[8 * 256 : 9 * 256 + 1 : scenarios._BOUND_STEP] = 0.0
+    best = _best_mixing(zeroed, 256)
+    assert best == _best_mixing_reference(zeroed, 256)
+    coeffs = [(np.cos(t), np.sin(t)) for t in _mixing_angles()]
+    assert best == ((coeffs[0], coeffs[0]), 0.0)
+
+
+def test_best_mixing_scores_at_most_half_the_candidates(monkeypatch):
+    # the bound prunes: of the 48 x 48 candidates of fig3c and fig3d at most
+    # half are scored on the whole window (48 and 600 are)
+    rows = []
+    score = scenarios._wronskian_score
+    monkeypatch.setattr(scenarios, "_wronskian_score",
+                        lambda w, spp: rows.append(len(w)) or score(w, spp))
+    for name in ("fig3c", "fig3d"):
+        rows.clear()
+        _best_mixing(_basis(SCENARIOS[name].n, *SCENARIOS[name].energies), 256)
+        assert 0 < sum(rows) <= 48 * 48 // 2
+
+
+def test_general_mixing_coefficients_pinned(scenario_cache):
+    # the mixings of the general presets, bit for bit
+    pins = {
+        "fig3a": [("0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bccp-1")],
+        "fig3b": [("0x1.6a09e667f3bcdp-1", "0x1.6a09e667f3bccp-1")],
+        "fig3c": [("0x1.f0b6848d2af1cp-1", "0x1.f0b6848d2af1cp-3"),
+                  ("-0x1.26bfcaabb0ffdp-2", "0x1.ea54cc6ff5ef3p-1")],
+        "fig3d": [("0x1.7271d121f8feap-1", "0x1.616ed130402f6p-1"),
+                  ("-0x1.f0b6848d2af15p-3", "0x1.f0b6848d2af1dp-1")],
+    }
+    for name, coefficients in pins.items():
+        seeds = scenario_cache(name).seeds
+        assert [tuple(float(c).hex() for c in s.coefficients) for s in seeds] == coefficients
+
+
 def test_general_mixing_ignores_rounding_ties():
     # lame is even, so each mixing and its mirror image tie up to rounding;
     # perturbing the cross Wronskians by 1e-12 either way must not move the
-    # choice, which is fig3d's at the parent as well
+    # choice, which is fig3d's at the parent as well, nor part it from the
+    # exhaustive search
     sc, spp = SCENARIOS["fig3d"], 256
-    v = lame(sc.n, sc.m)
-    pairs = [bloch_branches(v, e, samples_per_period=spp)[:2] for e in sc.energies]
-    window = [[b.window(16) for b in pair] for pair in pairs]
-    basis = [[u1 * up2 - up1 * u2 for u2, up2 in window[1]] for u1, up1 in window[0]]
+    basis = _basis(sc.n, *sc.energies)
     choices = set()
     for delta in (0.0, 1e-12, -1e-12):
         bent = [[basis[0][0], basis[0][1] * (1.0 + delta)], [basis[1][0] * (1.0 - delta), basis[1][1]]]
-        choices.add(_best_mixing(bent, spp)[0])
+        best = _best_mixing(bent, spp)
+        assert best == _best_mixing_reference(bent, spp)
+        choices.add(best[0])
     assert len(choices) == 1
     (c1, c2), = choices
     assert c1 == pytest.approx((0.7235246042223455, 0.69029859270094), abs=1e-15)

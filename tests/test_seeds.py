@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from susyband import floquet, seeds
 from susyband.elliptic import complete_k, jacobi_sncndn
 from susyband.errors import BandEnergyError, SingularSeedError, WindowOverflowError
 from susyband.floquet import CSV_BLOCK_ROWS, propagate
+from susyband.numdiff import sign_changes
 from susyband.potentials import ConstantPotential, lame
 from susyband.seeds import (
     RICCATI_GATE,
@@ -157,6 +158,56 @@ def test_node_scan_in_gap_floor():
     assert min_count >= 15  # 16-period window, about one node per period
 
 
+def _node_scan_reference(v, epsilon, scan_resolution=720, periods=16):
+    """The node scan as the full table of mixtures, 64 angles at a time:
+    sign changes plus exactly zero samples (the last one excepted)."""
+    grow, decay, _ = seeds.bloch_branches(v, epsilon, samples_per_period=256)
+    u_grow, _ = grow.window(periods)
+    u_decay, _ = decay.window(periods)
+    thetas = np.arange(scan_resolution) * (math.pi / scan_resolution)
+    counts = []
+    for block in np.split(thetas, np.arange(64, scan_resolution, 64)):
+        mixtures = np.cos(block)[:, None] * u_grow + np.sin(block)[:, None] * u_decay
+        counts.extend(sign_changes(mixtures).sum(axis=1) + (mixtures[:, :-1] == 0.0).sum(axis=1))
+    out = []
+    for theta, count in zip(thetas, counts):
+        ratio = math.inf if abs(theta - 0.5 * math.pi) < 1e-12 else math.tan(theta)
+        out.append((ratio, int(count)))
+    return out
+
+
+_SCAN_RESOLUTIONS = (4, 16, 180, 720, 1441)
+
+
+@pytest.mark.parametrize("n, epsilon", [
+    (1, -1.0), (2, 0.4), (2, 1.6), (2, 2.9), (3, 2.3), (3, 5.0),  # fig2
+    (1, 0.0), (1, 1.2), (1, 1.3), (2, 1.51), (2, 2.51),  # fig3
+])
+def test_node_scan_matches_table_at_figure_energies(n, epsilon):
+    v = lame(n, 0.5)
+    for resolution in _SCAN_RESOLUTIONS:
+        assert node_scan(v, epsilon, resolution) == _node_scan_reference(v, epsilon, resolution)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(n=st.sampled_from([1, 2, 3]), m=st.floats(0.05, 0.95), region=st.integers(0, 3),
+       frac=st.floats(0.02, 0.98))
+def test_node_scan_matches_table(lame_bands, n, m, region, frac):
+    # region 0 lies below the spectrum, region k in the k-th gap
+    edges = lame_bands(n, m).edges
+    region = min(region, n)
+    if region == 0:
+        epsilon = edges[0] - 2.0 * frac
+    else:
+        lo, hi = edges[2 * region - 1], edges[2 * region]
+        epsilon = lo + (hi - lo) * frac
+    v = lame(n, m)
+    grow, decay, _ = bloch_branches(v, epsilon, samples_per_period=256)
+    assume(grow is not decay)  # a narrow gap's edge, where the scan is undefined
+    for resolution in _SCAN_RESOLUTIONS:
+        assert node_scan(v, epsilon, resolution) == _node_scan_reference(v, epsilon, resolution)
+
+
 def test_node_scan_counts_exact_zero_samples(monkeypatch):
     # a mixture that is exactly 0 on a sample, between samples of opposite
     # signs, has a node there, as in _count_nodes: the growing branch below
@@ -169,6 +220,23 @@ def test_node_scan_counts_exact_zero_samples(monkeypatch):
     assert scan[0] == (0.0, 32)  # the angle 0: the growing branch alone
     # the angle pi/2: the flat branch, plus cos(pi/2) = 6e-17 of the wave
     assert scan[2] == (math.inf, 0)
+    # with dip, both branches vanish on a sample, and every mixture there;
+    # with tilt, the mixture at pi/2 is exactly 0 on a sample, where its
+    # sign flips: cos(pi/2) - cos(pi/2) sin(pi/2)
+    dip = BlochBranch(1.0, 1.0, np.array([1.0, 0.0, 2.0, -1.0, 1.0]), ones, ones)
+    c = np.cos(np.arange(4) * (math.pi / 4))[2]
+    tilt = BlochBranch(1.0, 1.0, np.array([-c, 1.0, -1.0, 0.5, -c]), ones, ones)
+    pairs = ((wave, flat), (wave, dip), (dip, wave), (flat, dip), (flat, tilt), (dip, tilt))
+    for branches in pairs:
+        monkeypatch.setattr(seeds, "bloch_branches", lambda *args, **kwargs: (*branches, 3.0))
+        for k in (4, 16, 180):
+            assert node_scan(LAME1, -1.0, k) == _node_scan_reference(LAME1, -1.0, k)
+
+
+def test_node_scan_rejects_an_overflowing_window():
+    # over 400 periods the growing branch at -1 passes 1e308
+    with pytest.raises(WindowOverflowError):
+        node_scan(LAME1, -1.0, 16, periods=400)
 
 
 def test_node_scan_long_window_compares_signs():
@@ -191,17 +259,16 @@ def test_node_scan_long_window_compares_signs():
 
 
 def test_node_scan_memory_is_bounded():
-    # the mixture table is counted block by block of angles: held whole at
-    # 720 angles over 64 periods it peaked near 300 MB
-    import tracemalloc
-
+    # no table of mixtures: one flip index per sample.  The table held whole
+    # at 720 angles over 64 periods peaked near 300 MB, in blocks of 64 angles
+    # near 26 MB; without it the scan peaks near 2.4 MB
     tracemalloc.start()
     try:
         node_scan(LAME1, -1.0, periods=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 60e6
+    assert peak < 6e6
 
 
 def test_nodeless_mixing_midpoint():
