@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from susyband import floquet
 from susyband.analysis import (
+    _SCAN_MARGIN,
+    _SCAN_RTOL,
+    _SHOOTING_RTOL,
+    _SHOOTING_SCAN,
+    _SHOOTING_WIDTH,
     _best_offset,
     bound_states_in_gaps,
     compare_band_structure,
@@ -320,6 +326,158 @@ def test_shooting_level_does_not_depend_on_window():
     assert level(x[0] + 0.3 * t, x[-1] - 0.2 * t) == pytest.approx(base, abs=1e-8)
     with pytest.raises(ValueError, match="needs at least two"):
         level(0.0, 1.9 * t)
+
+
+def test_shooting_rejects_bad_bracket(scenario_cache):
+    # a reversed bracket scanned downward and returned 0.323828125, no level;
+    # a NaN end reached the integrator and failed as a step-size underflow
+    run = scenario_cache("fig3a")
+    x = run.result.x
+    for e_lo, e_hi in ((0.45, -0.5), (math.nan, 0.05), (-0.05, math.inf), (0.1, 0.1)):
+        with pytest.raises(ValueError, match="shooting bracket"):
+            shooting_eigenvalue(run.result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])
+
+
+def test_shooting_far_field_check_at_the_edge(scenario_cache, monkeypatch):
+    # fig3a's far field has its lowest edge at 0.5: a last scan energy 1e-7
+    # below it is in the gap and one 1e-7 above it is not; |D| is within
+    # 1.5e-6 of 2 there, so the tight rtol decides
+    run = scenario_cache("fig3a")
+    partner, x = run.result.partner, run.result.x
+    edge = run.band_structure.edges[0]
+    calls = []
+    cell_matrices = floquet.cell_matrices
+
+    def recording(v, energies, *args, rtol):
+        calls.append((np.array(energies, dtype=float), rtol))
+        return cell_matrices(v, energies, *args, rtol=rtol)
+
+    monkeypatch.setattr(floquet, "cell_matrices", recording)
+    assert shooting_eigenvalue(partner, edge - 0.1, edge - 1e-7, x_lo=x[0], x_hi=x[-1]) is None
+    assert calls[1][1] == _SHOOTING_RTOL and edge - 1e-7 in calls[1][0]
+    with pytest.raises(ValueError, match="energy 0.5 is not in a spectral gap"):
+        shooting_eigenvalue(partner, edge - 0.1, edge + 1e-7, x_lo=x[0], x_hi=x[-1])
+    # the first energy in the band is named, as by a tight scan
+    with pytest.raises(ValueError, match="energy 0.5 is not in a spectral gap"):
+        shooting_eigenvalue(partner, edge - 0.1, edge + 0.1, x_lo=x[0], x_hi=x[-1])
+
+
+def _reference_mismatch(w, energies, x_lo, x_hi, rtol):
+    """shooting_eigenvalue's mismatch at the energies with the window's cells
+    integrated at rtol, as written before the scan was loosened; ValueError
+    where a far-field |D| <= 2."""
+    n = math.floor((x_hi - x_lo) / w.period + 1e-9)
+    e = np.asarray(energies, dtype=float)
+    cells = floquet.cell_matrices(w, e, x_lo, x_lo + n * w.period, rtol=rtol)
+    far = np.concatenate((cells[0], cells[-1]))
+    d = far[:, 0, 0] + far[:, 1, 1]
+    if np.any(np.abs(d) <= 2.0):
+        raise ValueError("a shooting energy is not in a spectral gap of the far field")
+    grow = growing_multiplier(d)
+    beta = np.concatenate((grow[: e.size], 1.0 / grow[e.size :]))
+    left, right = np.split(floquet.bloch_vectors(far, beta), 2)
+    for b in cells[: n // 2]:
+        left = np.einsum("nij,nj->ni", b, left)
+    for b in floquet._adjugate(cells[n // 2 :][::-1]):
+        right = np.einsum("nij,nj->ni", b, right)
+    wronskian = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+    scale = np.sqrt(np.sum(left**2, axis=1) * np.sum(right**2, axis=1))
+    return wronskian / scale * (np.sum(left * right, axis=1) / scale)
+
+
+def _shooting_reference(w, e_lo, e_hi, x_lo, x_hi, scan):
+    """shooting_eigenvalue with one tolerance, as it was: the first rising sign
+    change of `scan`, the mismatch at the _SHOOTING_SCAN energies at
+    _SHOOTING_RTOL, narrowed by ITP."""
+    es = np.linspace(e_lo, e_hi, _SHOOTING_SCAN)
+    rising = np.nonzero(np.diff(np.sign(scan)) > 0.0)[0]
+    if rising.size == 0:
+        return None
+    i = int(rising[0])
+    return float(itp_root(
+        lambda e: float(_reference_mismatch(w, [e], x_lo, x_hi, _SHOOTING_RTOL)[0]),
+        es[i], es[i + 1], scan[i], scan[i + 1], _SHOOTING_WIDTH, 0.2 / (e_hi - e_lo)))
+
+
+@pytest.fixture(scope="module")
+def shooting_cases(scenario_cache):
+    """(partner, e_lo, e_hi, x_lo, x_hi, tight scan) of 30 shooting calls: the
+    general-seed partners of lame(1 or 3, m) in three brackets each, the
+    criterion-10 brackets of fig3a-fig3d, fig3a's wide bracket and the five
+    empty brackets above."""
+    cases = []
+    for n in (1, 3):
+        for m in (0.3, 0.5, 0.9):
+            result, eps = _general_partner(n, m)
+            for lo, hi in ((-0.05, 0.05), (-0.04, 0.06), (-0.03, 0.07)):
+                cases.append((result.partner, eps + lo, eps + hi, result.x))
+    for name in ("fig3a", "fig3b", "fig3c", "fig3d"):
+        run = scenario_cache(name)
+        bands = run.band_structure
+        for state in bound_states_in_gaps(run.result, bands):
+            gap = (-math.inf, bands.edges[0]) if state.gap_index == 0 else bands.gaps[state.gap_index - 1]
+            lo, hi = max(state.epsilon - 0.05, gap[0] + 1e-3), min(state.epsilon + 0.05, gap[1] - 1e-3)
+            cases.append((run.result.partner, lo, hi, run.result.x))
+    for name, lo, hi in (("fig3a", -0.5, 0.45), ("fig3a", 0.12, 0.18), ("fig3a", -0.5, -0.01),
+                         ("fig2a", -1.5, 0.45), ("fig2c", 1.605, 2.895), ("fig2d", 2.305, 4.995)):
+        run = scenario_cache(name)
+        cases.append((run.result.partner, lo, hi, run.result.x))
+    return [
+        (w, lo, hi, x[0], x[-1],
+         _reference_mismatch(w, np.linspace(lo, hi, _SHOOTING_SCAN), x[0], x[-1], _SHOOTING_RTOL))
+        for w, lo, hi, x in cases
+    ]
+
+
+def test_shooting_matches_tight_scan_reference(shooting_cases):
+    # the loose scan decides no sign on its own that could differ from the
+    # tight one, so the level is the same root, to the final bracket
+    assert len(shooting_cases) == 30
+    nones = 0
+    for w, lo, hi, x_lo, x_hi, scan in shooting_cases:
+        expected = _shooting_reference(w, lo, hi, x_lo, x_hi, scan)
+        found = shooting_eigenvalue(w, lo, hi, x_lo=x_lo, x_hi=x_hi)
+        if expected is None:
+            nones += 1
+            assert found is None, (lo, hi)
+        else:
+            assert abs(found - expected) <= 1e-10, (lo, hi, found, expected)
+    assert nones == 5
+
+
+def test_shooting_scan_error_leaves_margin(shooting_cases):
+    # a loose scan value decides a sign only beyond _SCAN_MARGIN; its error
+    # stays 20 times below that (1.3e-5 seen, on fig3d's level at 1.51)
+    worst = 0.0
+    for w, lo, hi, x_lo, x_hi, scan in shooting_cases:
+        loose = _reference_mismatch(w, np.linspace(lo, hi, _SHOOTING_SCAN), x_lo, x_hi, _SCAN_RTOL)
+        worst = max(worst, float(np.max(np.abs(loose - scan))))
+    assert worst <= _SCAN_MARGIN / 20
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.sampled_from([1, 2, 3]), st.floats(0.2, 0.9), st.floats(0.25, 0.75))
+def test_shooting_level_inside_scan_cell(n, m, frac):
+    # the general seed's level frac of a scan cell above a scan energy, where
+    # no scan value is doubtful (|mismatch| > 1.5e-3 a quarter cell from the
+    # level): the signs of the loose scan alone bracket it
+    v = lame(n, m)
+    eps = band_edges(v, -1.0, n * (n + 1) + 1.0).edges[0] - 0.3
+    result = susy1(v, general_seed(v, eps, *nodeless_mixing(v, eps)))
+    x = result.x
+    e_lo = eps - (32 + frac) * 0.1 / (_SHOOTING_SCAN - 1)
+    calls = []
+    cell_matrices = floquet.cell_matrices
+
+    def recording(w, energies, *args, **kwargs):
+        calls.append(np.array(energies, dtype=float))
+        return cell_matrices(w, energies, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floquet, "cell_matrices", recording)
+        found = shooting_eigenvalue(result.partner, e_lo, e_lo + 0.1, x_lo=x[0], x_hi=x[-1])
+    assert abs(found - eps) < 1e-8
+    assert not np.isin(np.concatenate(calls[1:]), calls[0]).any()
 
 
 def _bracket_history(f, a, b):

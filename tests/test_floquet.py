@@ -806,20 +806,44 @@ def test_band_edges_work_count(monkeypatch):
 
 def test_shooting_work_count(monkeypatch, scenario_cache):
     # each mismatch evaluation is one cell_matrices call, one integrator pass
-    # over the window's periods: a first scan of 65 energies, then at most 10
-    # single energies; shooting builds no transfer matrix
+    # over the window's periods: a scan of 65 energies at the loose rtol, at
+    # most one call at the tight rtol on exactly the scan energies whose loose
+    # value is doubtful, then at most 10 single energies; shooting builds no
+    # transfer matrix
     from susyband import analysis
+    from test_analysis import _reference_mismatch
 
     run = scenario_cache("fig3a")
-    counts = {"advance": 0, "batches": 0, "single": 0}
-    sizes = []
-    cell_matrices = floquet.cell_matrices
+    partner, x = run.result.partner, run.result.x
+    # with one 1e-9 scan these calls took 92 and 174 steps, or 136640 and
+    # 225120 steps of one sub-cell at one energy; the confirmation and ITP's
+    # single energies cost as before, so the steps fall less (62 and 106).
+    # (-0.05, 0.05) puts the level on the middle scan energy, its one doubtful value
+    cases = []
+    for (e_lo, e_hi), steps, cell_steps in (((-0.05, 0.05), 92, 136640),
+                                            ((-0.5, 0.45), 174, 225120)):
+        grid = np.linspace(e_lo, e_hi, 65)
+        loose = _reference_mismatch(partner, grid, x[0], x[-1], analysis._SCAN_RTOL)
+        cases.append((e_lo, e_hi, grid, grid[~(np.abs(loose) > analysis._SCAN_MARGIN)],
+                      steps, cell_steps))
+    assert [c[3].size for c in cases] == [1, 0]
 
-    def recording(v, energies, *args, **kwargs):
-        sizes.append(np.size(energies))
-        return cell_matrices(v, energies, *args, **kwargs)
+    counts = {"advance": 0, "batches": 0, "single": 0, "steps": 0, "cell_steps": 0}
+    calls = []
+    cell_matrices = floquet.cell_matrices
+    dp5_step = floquet._dp5_step
+
+    def recording(v, energies, *args, rtol):
+        calls.append((np.array(energies, dtype=float), rtol))
+        return cell_matrices(v, energies, *args, rtol=rtol)
+
+    def stepping(k, vs, e, y, h):
+        counts["steps"] += 1
+        counts["cell_steps"] += y[0, 0].size
+        return dp5_step(k, vs, e, y, h)
 
     monkeypatch.setattr(floquet, "cell_matrices", recording)
+    monkeypatch.setattr(floquet, "_dp5_step", stepping)
     monkeypatch.setattr(floquet, "_advance", _counting(counts, "advance", floquet._advance))
     monkeypatch.setattr(
         floquet, "transfer_matrices", _counting(counts, "batches", floquet.transfer_matrices)
@@ -827,18 +851,22 @@ def test_shooting_work_count(monkeypatch, scenario_cache):
     monkeypatch.setattr(
         floquet, "transfer_matrix", _counting(counts, "single", floquet.transfer_matrix)
     )
-    x = run.result.x
-    for e_lo, e_hi in ((-0.05, 0.05), (-0.5, 0.45)):
-        sizes.clear()
-        counts["advance"] = 0
-        found = analysis.shooting_eigenvalue(
-            run.result.partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1]
-        )
+    for e_lo, e_hi, grid, doubtful, steps, cell_steps in cases:
+        calls.clear()
+        counts.update(advance=0, steps=0, cell_steps=0)
+        found = analysis.shooting_eigenvalue(partner, e_lo, e_hi, x_lo=x[0], x_hi=x[-1])
         assert found == pytest.approx(0.0, abs=1e-3)
-        assert sizes[0] == 65
-        assert 1 < len(sizes) <= 1 + 10
-        assert set(sizes[1:]) == {1}
-        assert counts["advance"] == len(sizes)
+        (scan, rtol), later = calls[0], calls[1:]
+        assert np.array_equal(scan, grid) and rtol == analysis._SCAN_RTOL
+        if doubtful.size:
+            assert np.array_equal(later[0][0], doubtful)
+            later = later[1:]
+        assert all(rtol == analysis._SHOOTING_RTOL for _, rtol in calls[1:])
+        assert 1 <= len(later) <= 10
+        assert all(e.size == 1 and e[0] not in grid for e, _ in later)
+        assert counts["advance"] == len(calls)
+        assert counts["steps"] < steps
+        assert counts["cell_steps"] <= cell_steps / 2
     assert counts["batches"] == 0
     assert counts["single"] == 0
 
