@@ -147,8 +147,10 @@ def _partner(seed, values, periodic, one_period, diagnostics):
     samples: a Bloch seed itself, the pointwise limit of a general one at
     +infinity (no displacement needed).
     A periodic partner is that one-period table; any other is the window
-    table ``values`` with that tail.  The asymptotic-period residual of
-    ``values`` and the closure or tail mismatches go into ``diagnostics``.
+    table ``values`` with that tail on both sides, so left of the window it
+    is off by ``tail_mismatch_minus`` (0.99 on fig3a, 2.03 on fig3d).  The
+    asymptotic-period residual of ``values`` and the closure or tail
+    mismatches go into ``diagnostics``.
     """
     period = seed.period
     spp = seed.samples_per_period

@@ -61,10 +61,10 @@ def complete_k(m: float) -> float:
     return math.pi / (2.0 * _agm_ladder(m)[0])
 
 
-def _sncndn_reduced(y, agm, moduli, sin, cos):
+def _sncndn_reduced(y, agm, moduli):
     """sn, cn, dn at y in [0, K]: each k maps them to ((1+k) sn, cn dn, 1-t) / (1+t), t = k sn^2."""
     u = agm * y
-    s, c, d = sin(u), cos(u), 1.0
+    s, c, d = np.sin(u), np.cos(u), np.ones_like(u)
     for k in moduli:
         t = k * s * s
         s, c, d = (1.0 + k) * s / (1.0 + t), c * d / (1.0 + t), (1.0 - t) / (1.0 + t)
@@ -83,41 +83,23 @@ def jacobi_sncndn(x, m: float):
     m = 0 gives (sin, cos, 1) and m = 1 gives (tanh, sech, sech).
     """
     m = _check_parameter(m, complete=False)
-    scalar = np.isscalar(x)
+    if np.isscalar(x):
+        return tuple(float(f[0]) for f in jacobi_sncndn(np.array([x], dtype=float), m))
+    x = np.asarray(x, dtype=float)
     if m == 0.0:
-        if scalar:
-            return math.sin(x), math.cos(x), 1.0
-        x = np.asarray(x, dtype=float)
         return np.sin(x), np.cos(x), np.ones_like(x)
     if m == 1.0:
-        if scalar:
-            sech = 1.0 / math.cosh(x)
-            return math.tanh(x), sech, sech
-        x = np.asarray(x, dtype=float)
         sech = 1.0 / np.cosh(x)
         return np.tanh(x), sech, sech
 
     agm, moduli = _agm_ladder(m)
     quarter = math.pi / (2.0 * agm)  # K(m)
-
-    if scalar:
-        y = float(x) % (4.0 * quarter)
-        sign_sn = sign_cn = 1.0
-        if y >= 2.0 * quarter:
-            y -= 2.0 * quarter
-            sign_sn = sign_cn = -1.0
-        if y > quarter:
-            y = 2.0 * quarter - y
-            sign_cn = -sign_cn
-        sn, cn, dn = _sncndn_reduced(y, agm, moduli, math.sin, math.cos)
-        return sign_sn * sn, sign_cn * cn, dn
-
-    y = np.asarray(x, dtype=float) % (4.0 * quarter)
+    y = x % (4.0 * quarter)
     upper = y >= 2.0 * quarter
     y = np.where(upper, y - 2.0 * quarter, y)
     mirror = y > quarter
     y = np.where(mirror, 2.0 * quarter - y, y)
-    sn, cn, dn = _sncndn_reduced(y, agm, moduli, np.sin, np.cos)
+    sn, cn, dn = _sncndn_reduced(y, agm, moduli)
     return np.where(upper, -sn, sn), np.where(upper != mirror, -cn, cn), dn
 
 

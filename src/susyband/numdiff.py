@@ -1,9 +1,11 @@
-"""High-order finite differences on uniform grids, the sign changes of
-sampled data, and a bracketing root finder.
+"""High-order finite differences on uniform grids, cubic Hermite
+interpolation of samples and slopes, the sign changes of sampled data, and a
+bracketing root finder.
 
 Sixth-order central stencils in the interior; the three cells at each end
 fall back to second-order one-sided estimates.  Callers that need full
-accuracy mask the boundary cells (every use in this package does).
+accuracy mask the boundary cells; a tailed ``TabulatedPotential`` keeps
+them as the slopes of its three end cells.
 """
 
 from __future__ import annotations
@@ -52,6 +54,21 @@ def second_derivative(y, h: float) -> np.ndarray:
     out[:3] = out[3]
     out[-3:] = out[-4]
     return out
+
+
+class CubicHermite:
+    """Cubic Hermite interpolant of samples f and slopes fp at spacing h,
+    called at t, the position in units of h from the first sample."""
+
+    def __init__(self, f, fp, h: float):
+        self.f, self.fp, self.h = f, fp, h
+
+    def __call__(self, t):
+        f, fp, h = self.f, self.fp, self.h
+        k = np.minimum(t.astype(int), f.size - 2)
+        s = t - k
+        return (((1.0 + 2.0 * s) * f[k] + s * h * fp[k]) * (1.0 - s) ** 2
+                + ((3.0 - 2.0 * s) * f[k + 1] - (1.0 - s) * h * fp[k + 1]) * s * s)
 
 
 def cell_max(a, spp: int) -> np.ndarray:

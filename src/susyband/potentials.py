@@ -6,8 +6,8 @@ transform pipeline:
 
 * ``LamePotential``   -- the finite-gap family n(n+1) m sn^2(x|m),
 * ``ConstantPotential`` -- flat potential with a nominal period (free particle),
-* ``TabulatedPotential`` -- uniform samples on a window, cubic spline inside,
-  periodic wrap or an explicit asymptotic tail outside,
+* ``TabulatedPotential`` -- uniform samples on a window, cubic Hermite on
+  sixth-order slopes inside, periodic wrap or an explicit tail outside,
 * ``ShiftedPotential``  -- base potential evaluated at x + delta.
 """
 
@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .elliptic import complete_k, sn_squared
+from .numdiff import CubicHermite, derivative
 
 __all__ = [
     "Potential",
@@ -133,11 +133,15 @@ class ConstantPotential(Potential):
 class TabulatedPotential(Potential):
     """Uniform samples over a window; cubic interpolation inside, tail outside.
 
-    With ``tail=None`` the window must span an integer number of periods and
-    evaluation wraps periodically, so the table represents a genuinely
-    periodic potential.  With an explicit tail (any other Potential) the
-    window holds the locally distorted region and the tail takes over beyond
-    it.  V of a float is a 0-d array.
+    Inside, V is the cubic Hermite interpolant of the samples and their
+    slopes from ``numdiff.derivative``'s sixth-order stencil.  With
+    ``tail=None`` the window must span an integer number of periods,
+    evaluation wraps periodically, and the stencil wraps too.  With an
+    explicit tail (any other Potential) the window holds the locally
+    distorted region and the tail takes over beyond it on both sides; the
+    three end samples get second-order one-sided slopes.  A general
+    partner's tail is its +infinity limit, so left of the window it is off
+    by ``tail_mismatch_minus``.  V of a float is a 0-d array.
     """
 
     def __init__(self, x_lo: float, dx: float, values, period: float, tail: Potential | None = None):
@@ -166,14 +170,12 @@ class TabulatedPotential(Potential):
                     f"periodic table does not close: |V(x_hi) - V(x_lo)| = {closure:.3e}"
                 )
             values = values.copy()
-            values[-1] = values[0]  # enforce exact closure for the periodic spline
-            self._spline = CubicSpline(
-                self.x_lo + self.dx * np.arange(values.size), values, bc_type="periodic"
-            )
+            values[-1] = values[0]  # enforce exact closure for the periodic wrap
+            # three wrapped samples on each side give every sample the central stencil
+            slopes = derivative(np.concatenate((values[-4:-1], values, values[1:4])), self.dx)[3:-3]
         else:
-            self._spline = CubicSpline(
-                self.x_lo + self.dx * np.arange(values.size), values
-            )
+            slopes = derivative(values, self.dx)
+        self._hermite = CubicHermite(values, slopes, self.dx)
         self.values = values
         self._span = span
 
@@ -195,10 +197,10 @@ class TabulatedPotential(Potential):
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.tail is None:
-            return self._spline(self.x_lo + (x - self.x_lo) % self._span)
+            return np.asarray(self._hermite((x - self.x_lo) % self._span / self.dx))
         out = np.empty_like(x)
         inside = (x >= self.x_lo) & (x <= self.x_hi)
-        out[inside] = self._spline(x[inside])
+        out[inside] = self._hermite((x[inside] - self.x_lo) / self.dx)
         if np.any(~inside):
             out[~inside] = self.tail(x[~inside])
         return out

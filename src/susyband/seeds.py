@@ -23,7 +23,8 @@ import numpy as np
 
 from . import floquet
 from .errors import BandEnergyError, SingularSeedError, WindowOverflowError
-from .numdiff import BOUNDARY_CELLS, derivative, itp_root, local_max, sign_changes
+from .numdiff import (BOUNDARY_CELLS, CubicHermite, derivative, itp_root, local_max,
+                      sign_changes)
 from .potentials import DEFAULT_SAMPLES_PER_PERIOD, Potential
 
 __all__ = [
@@ -96,15 +97,9 @@ class BlochBranch:
         h = self.period / n
         cells = np.floor(x / self.period).astype(int)
         t = np.clip(x - cells * self.period, 0.0, self.period) / h
-        k = np.minimum(t.astype(int), n - 1)
-        s = t - k
-
-        def hermite(f, fp):
-            return (((1.0 + 2.0 * s) * f[k] + s * h * fp[k]) * (1.0 - s) ** 2
-                    + ((3.0 - 2.0 * s) * f[k + 1] - (1.0 - s) * h * fp[k + 1]) * s * s)
-
         amp = self._amplitude(cells)
-        return amp * hermite(self.u, self.u_prime), amp * hermite(self.u_prime, self.u_second)
+        return (amp * CubicHermite(self.u, self.u_prime, h)(t),
+                amp * CubicHermite(self.u_prime, self.u_second, h)(t))
 
     @property
     def growth_rate(self) -> float:

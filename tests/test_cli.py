@@ -119,8 +119,8 @@ def test_states_emits_traces(tmp_path):
 
 
 def test_bands_rough_potential_exit_3(tmp_path, capsys):
-    # a spline through a square wave has no converging Fourier series, so
-    # band_edges refuses it and names the cause
+    # a cubic Hermite table through a square wave has no converging Fourier
+    # series, so band_edges refuses it and names the cause
     xs = [2.0 * i / 64 for i in range(65)]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -66,7 +66,7 @@ def test_identities_random_10000():
 
 
 def test_scalar_path_matches_array_path():
-    # floats take a pure-math ladder, arrays the numpy one; same arithmetic
+    # a float runs the array path on a one-element array and comes back as floats
     rng = np.random.default_rng(20261018)
     xs = rng.uniform(-50.0, 50.0, 2000)
     ms = rng.uniform(0.01, 0.999, 2000)
@@ -89,6 +89,9 @@ def test_degenerate_limits():
         assert sn == pytest.approx(math.tanh(x), abs=1e-15)
         assert cn == pytest.approx(1.0 / math.cosh(x), abs=1e-15)
         assert dn == cn
+    # below m ~ 1e-31 the Landen ladder is empty; dn is still an array like x
+    xs = np.array([0.0, 0.7])
+    assert all(f.shape == xs.shape for f in jacobi_sncndn(xs, 1e-300))
 
 
 def test_quarter_period_values():

@@ -596,7 +596,7 @@ def test_band_edges_on_discriminant(n, m):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_band_edges_of_bloch_partner(n, m):
     # the partner of a growing Bloch seed keeps D(E), so its edges are the
-    # parent's; it is a spline table, and not even
+    # parent's; it is a cubic Hermite table, and not even
     v = lame(n, m)
     partner = susy1(v, bloch_seed(v, -1.0)[0]).partner
     assert not partner.even
@@ -616,8 +616,9 @@ def test_band_edges_closed_gaps_near_m_one():
 
 
 def test_band_edges_rough_potential_raises():
-    # a spline through a square wave: its Fourier coefficients fall like
-    # k^-4, not geometrically, so Hill's method cannot resolve it
+    # a cubic Hermite table through a square wave is only C1: its Fourier
+    # coefficients fall like k^-3, not geometrically, so Hill's method
+    # cannot resolve it
     x = np.linspace(0.0, 2.0, 65)
     v = TabulatedPotential(0.0, x[1] - x[0], np.where((x > 0.5) & (x < 1.5), 1.0, -1.0), 2.0)
     with pytest.raises(ValueError, match="Fourier series does not converge"):

@@ -3,6 +3,9 @@ import dataclasses
 import inspect
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -501,12 +504,25 @@ def test_bloch_branches_one_pass_in_stable_directions(monkeypatch, n, m, epsilon
         assert branch.u[-1] == pytest.approx(branch.multiplier, rel=1e-13)
 
 
-def test_seeds_imports_no_scipy():
+def test_seeds_imports_no_scipy(tmp_path):
     tree = ast.parse(inspect.getsource(seeds))
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names]
     imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert imported and not any(name.split(".")[0] == "scipy" for name in imported)
+    # the whole package imports, and each subcommand runs, with scipy unimportable
+    script = ("import sys; sys.modules['scipy'] = None; import susyband; "
+              "from susyband.cli import run; sys.exit(run(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(seeds.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv in (["bands", "--lame-n", "1"],
+                 ["states", "--lame-n", "2", "--epsilon", "1.6"],
+                 ["invariance", "--lame-n", "1", "--epsilon=-0.2"],
+                 ["transform", "--scenario", "fig2a"],  # a periodic partner table
+                 ["transform", "--scenario", "fig3a"]):  # a partner table with a tail
+        done = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv, done.stderr)
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, 1.6])
