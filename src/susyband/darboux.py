@@ -159,14 +159,14 @@ def _partner(seed, values, periodic, one_period, diagnostics):
     vals = one_period(
         xs, lambda s: max((b for c, b in s.branches if c), key=lambda b: b.growth_rate).tiled(0, 1)
     )
-    table = TabulatedPotential(0.0, xs[1] - xs[0], vals, period)
+    table = TabulatedPotential(0.0, period / spp, vals, period)
     if periodic:
         diagnostics["periodic_closure_mismatch"] = float(abs(vals[-1] - vals[0]))
         return table
     x = seed.x
     diagnostics["tail_mismatch_plus"] = float(np.max(np.abs(values[-spp:] - table(x[-spp:]))))
     diagnostics["tail_mismatch_minus"] = float(np.max(np.abs(values[:spp] - table(x[:spp]))))
-    return TabulatedPotential(x[0], x[1] - x[0], values, period, tail=table)
+    return TabulatedPotential(x[0], (x[-1] - x[0]) / (x.size - 1), values, period, tail=table)
 
 
 def _check_riccati(seed: SeedSolution):

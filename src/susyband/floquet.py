@@ -1,8 +1,10 @@
 """Transfer-matrix machinery for -psi'' + V(x) psi = E psi on periodic potentials.
 
-The first-order system d/dx (psi, psi') = [[0, 1], [V - E, 0]] (psi, psi')
-is integrated with an embedded Dormand-Prince 5(4) pair.  The two
-canonical columns (1,0) and (0,1) propagate together, so the result of one
+psi'' = (V - E) psi is integrated with the embedded Dormand-Prince 5(4) pair
+in Runge-Kutta-Nystrom form (Hairer, Norsett & Wanner, Solving ODEs I, sec.
+II.14): it forms only the psi stages, and in exact arithmetic takes the
+steps and error estimates of the pair on (psi, psi').  The two canonical
+columns (1,0) and (0,1) propagate together, so the result of one
 pass is the full transfer matrix b(x1 <- x0); a whole batch of energies can
 ride along in one adaptive integration since V(x) is shared between them,
 which is what makes dense discriminant sweeps cheap.  One loop,
@@ -15,7 +17,8 @@ rounds on the four matrix entries.  The same scan over the reversed
 products back from the far end.  A span is the pairwise tree product of its
 one-period cells, ``cell_matrices``, which cuts each into sub-cells.  The
 tableau exists once, as the arrays _A, _B, _E and _C, and ``_dp5_step``
-forms each stage as one weighted sum over a preallocated stage buffer.
+forms each stage as one weighted sum over a buffer of rows (psi, psi',
+k0..k6), k_j = (V - E) psi at stage j, times V - E.
 
 On top of the propagator sit the one-period (Floquet) matrix, its trace
 D(E) (from half a period for an even potential), the |D| trichotomy
@@ -80,6 +83,16 @@ _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# The pair in Nystrom form for psi'' = q psi: with k[j] = q psi at stage j,
+# stage i is psi + C[i] h psi' + h^2 (A A)[i] . k, the step gives psi + h psi'
+# + h^2 (B A) . k and psi' + h B . k, the error h^2 (E[:6] A + E[6] B) . k and
+# h E . k.  Row r of W(h) = _W0 + h _W1 + h^2 _W2 weighs (psi, psi', k[0..6])
+# for stage r + 1 (r < 5), the new psi and psi' (r = 5, 6) and their errors;
+# (A A)[i] is zero from column i - 1 on, so stage i reads the rows before k[i - 1].
+_W0, _W1, _W2 = np.zeros((3, 9, 9))
+_W0[:6, 0] = _W0[6, 1] = 1.0
+_W1[:5, 1], _W1[5, 1], _W1[6, 2:8], _W1[8, 2:] = _C[1:], 1.0, _B, _E
+_W2[:5, 2:8], _W2[5, 2:8], _W2[7, 2:8] = (_A @ _A)[1:], _B @ _A, _E[:6] @ _A + _E[6] * _B
 
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.2
@@ -91,25 +104,21 @@ _CELL_BATCH = 512
 _MAX_SUBCELLS = 16
 
 
-def _deriv_into(out, v_x, e, y):
-    """out <- (y[1], (V - E) y[0]), the RHS of the matrix Schrodinger system."""
-    out[0] = y[1]
-    np.multiply(v_x - e, y[0], out=out[1])
+def _dp5_step(buf, q, h: float):
+    """One DP5 step in Nystrom form over buf, shape (9, 2, n, nE): the rows
+    psi, psi' and the slopes k[0..6] of psi', k[j] = q_j psi_j.
 
-
-def _dp5_step(k, vs, e, y, h: float):
-    """One DP5 step of y by h, its stages kept in the buffer k of shape (7,) + y.shape.
-
-    k[0] must hold the slope at the start of the step, and vs[i - 1] is V
-    at x + C[i] h for the stages i = 1..5.  Fills k[1:] and returns the
-    increment h B . k[:6] and the error h E . k.
+    buf[2] must hold k[0] at the start of the step, and q[i - 1] is V - E at
+    x + C[i] h for the stages i = 1..5.  Fills buf[3:] and returns the new
+    (psi, psi') and its error estimate, each shape (2, 2, n, nE).
     """
-    rows = k.reshape(7, -1)
+    w = _W0 + h * (_W1 + h * _W2)
+    rows, shape = buf.reshape(9, -1), buf.shape[1:]
     for i in range(1, 6):
-        _deriv_into(k[i], vs[i - 1], e, y + h * (_A[i, :i] @ rows[:i]).reshape(y.shape))
-    d = h * (_B @ rows[:6]).reshape(y.shape)
-    _deriv_into(k[6], vs[4], e, y + d)
-    return d, h * (_E @ rows).reshape(y.shape)
+        np.multiply(q[i - 1], (w[i - 1, : 1 + i] @ rows[: 1 + i]).reshape(shape), out=buf[2 + i])
+    y_new = (w[5:7, :8] @ rows[:8]).reshape(buf[:2].shape)
+    np.multiply(q[4], y_new[0], out=buf[8])
+    return y_new, (w[7:] @ rows).reshape(y_new.shape)
 
 
 def _advance(v, e, x0, span: float, y, rtol: float):
@@ -118,18 +127,21 @@ def _advance(v, e, x0, span: float, y, rtol: float):
     shape (nE,), and all share the step.
 
     Each step makes one call of `v` on the stage abscissae of all cells, its
-    values broadcast as (n, 1) against e.  On a step underflow the cell with
-    the largest last error ratio over its energies (NaN as inf) is blamed,
-    once the cells before it ran on their own, so the error names the first
-    failure in the order of x0.
+    values broadcast as (n, 1) against e, and one ``_dp5_step`` on the buffer
+    of rows (psi, psi', k0..k6), each of shape (2, n, nE): both columns of
+    psi, of psi' and of the slopes k_j = (V - E) psi.  On a step underflow
+    the cell with the largest last error ratio over its energies (NaN as
+    inf) is blamed, once the cells before it ran on their own, so the error
+    names the first failure in the order of x0.
     """
     if span == 0.0:
         return y
     direction = 1.0 if span > 0 else -1.0
     s = 0.0
     v_x = np.reshape(v(x0), (-1, 1))
-    k = np.empty((7,) + y.shape)
-    _deriv_into(k[0], v_x, e, y)
+    buf = np.empty((9,) + y.shape[1:])
+    buf[:2] = y
+    np.multiply(v_x - e, y[0], out=buf[2])
     y0, ratios, bound = y, np.zeros(y.shape), np.empty(y.shape)  # error-test buffers
     floor = _H_FLOOR * max(1.0, float(np.max(np.abs(x0))) + abs(span))
 
@@ -148,16 +160,15 @@ def _advance(v, e, x0, span: float, y, rtol: float):
             raise StiffIntegrationError("step size underflow in propagation", float(x0[j] + s))
 
         vs = np.asarray(v((x0 + s + _C[1:, None] * h).ravel()), dtype=float).reshape(5, -1, 1)
-        y_new, err = _dp5_step(k, vs, e, y, h)
-        y_new += y  # in place: the increment's array becomes y_new
+        y_new, err = _dp5_step(buf, vs - e, h)
         np.maximum(np.abs(y, out=bound), np.abs(y_new, out=ratios), out=bound)
         np.add(DEFAULT_ATOL, np.multiply(rtol, bound, out=bound), out=bound)
         err_norm = float(np.max(np.divide(np.abs(err, out=ratios), bound, out=ratios)))
 
         if err_norm <= 1.0:
             s += h
-            y = y_new
-            k[0] = k[6]
+            y = buf[:2] = y_new
+            buf[2] = buf[8]
             factor = _MAX_GROW if err_norm == 0.0 else min(
                 _MAX_GROW, max(_MIN_SHRINK, _SAFETY * err_norm ** -0.2)
             )

@@ -189,10 +189,11 @@ class TabulatedPotential(Potential):
         samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
         tail: Potential | None = None,
     ) -> "TabulatedPotential":
-        """Sample a callable on [x_lo, x_hi] at the given per-period density."""
+        """Sample a callable on [x_lo, x_hi] at the given per-period density;
+        dx is linspace's own step, so the table runs through its samples."""
         n = int(round((x_hi - x_lo) / period * samples_per_period))
         xs = np.linspace(x_lo, x_hi, n + 1)
-        return cls(x_lo, xs[1] - xs[0], np.asarray(fn(xs), dtype=float), period, tail)
+        return cls(x_lo, (xs[-1] - xs[0]) / n, np.asarray(fn(xs), dtype=float), period, tail)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -9,19 +9,21 @@ from scipy import special
 
 from susyband import floquet
 from susyband.analysis import (
+    _INVARIANCE_TOL,
     _SCAN_MARGIN,
     _SCAN_RTOL,
     _SHOOTING_RTOL,
     _SHOOTING_SCAN,
     _SHOOTING_WIDTH,
     _best_offset,
+    _product_variation,
     bound_states_in_gaps,
     compare_band_structure,
     displacement_fit,
     invariance_test,
     shooting_eigenvalue,
 )
-from susyband.errors import BandEnergyError, PeriodMismatchError
+from susyband.errors import BandEnergyError, PeriodMismatchError, SingularTransformError
 from susyband import seeds as seeds_module
 from susyband.darboux import susy1
 from susyband.floquet import band_edges, discriminant, growing_multiplier
@@ -183,24 +185,50 @@ def test_invariance_midband_error():
         invariance_test(LAME1, 0.75)
 
 
+def _two_seed_fields(v, epsilon):
+    """The fields of ``invariance_test`` built the two-seed way: both seeds
+    of ``bloch_seed``, the growing one transformed by ``susy1``, then the
+    same analysis calls."""
+    grow, decay = bloch_seed(v, epsilon)
+    branches, period = (grow.branches[0][1], decay.branches[0][1]), float(v.period)
+
+    def product_residual(delta, samples=2048):
+        return min(_product_variation(*branches, delta, period, samples),
+                   _product_variation(*branches[::-1], delta, period, samples))
+
+    try:
+        delta, residual_disp = displacement_fit(v, susy1(v, grow).partner)
+    except SingularTransformError:
+        residual_disp = math.inf
+        deltas = np.linspace(0.0, period, 512, endpoint=False)
+        delta = float(deltas[int(np.argmin([product_residual(d, 512) for d in deltas]))])
+    residual_prod = product_residual(delta)
+    return (delta, residual_disp, residual_prod,
+            residual_disp < _INVARIANCE_TOL and residual_prod < _INVARIANCE_TOL)
+
+
 @pytest.mark.parametrize("n, epsilon, fields", [
-    (1, -1.0, (2.996503735347119, 5.168088179630104e-14, 2.5087171120640803e-14, True)),
-    (2, 0.4, (2.866879127565931, 0.18271049650008842, 0.029253003543369967, False)),
-    (1, 0.5, (1.8540746773013714, 2.886579864025407e-15, 2.386540537199315e-14, True)),
-    (2, 1.6, (0.9922196515245622, math.inf, 1.0000004441229309, False)),
+    (1, -1.0, (True, True)),
+    (2, 0.4, (False, True)),
+    (1, 0.5, (True, True)),
+    (2, 1.6, (False, False)),
 ])
 def test_invariance_assembles_one_seed(monkeypatch, n, epsilon, fields):
     # only the growing seed is assembled; the decaying branch comes from the
-    # same bloch_branches call.  The fields are those recorded when both
-    # seeds were assembled: below the spectrum, at an edge and in a gap
+    # same bloch_branches call.  The fields are exactly those built from both
+    # seeds: below the spectrum, at an edge and in a gap, where the verdict and
+    # whether the displacement fit ran (the transform is singular) are pinned
+    v = lame(n, 0.5)
+    reference = _two_seed_fields(v, epsilon)
     calls = []
     assemble = seeds_module._assemble
     monkeypatch.setattr(seeds_module, "_assemble",
                         lambda *args: calls.append(args) or assemble(*args))
-    report = invariance_test(lame(n, 0.5), epsilon)
+    report = invariance_test(v, epsilon)
     assert len(calls) == 1
     assert (report.delta, report.residual_displacement, report.residual_product,
-            report.invariant) == fields
+            report.invariant) == reference
+    assert (report.invariant, math.isfinite(report.residual_displacement)) == fields
 
 
 def test_invariance_report_schema():

@@ -62,6 +62,15 @@ def test_fig1a_half_period_displacement(scenario_cache):
     assert not state.normalizable  # 1/psi_0 is bounded, not square integrable
 
 
+def test_tailed_partner_hits_its_samples(scenario_cache):
+    # the window table of a general partner ends on the window's last sample
+    # and reproduces the partner's samples (5.8e-15 measured)
+    result = scenario_cache("fig3a").result
+    partner = result.partner
+    assert partner.tail is not None and partner.x_hi == result.x[-1]
+    assert np.max(np.abs(partner(result.x) - result.partner_values)) < 1e-13
+
+
 def test_bloch_seed_partner_periodic(scenario_cache):
     run = scenario_cache("fig2a")
     r = run.result

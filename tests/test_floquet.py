@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from susyband import bloch_seed, floquet, susy1
 from susyband.elliptic import jacobi_sncndn
 from susyband.floquet import (
+    _A,
+    _B,
+    _E,
     band_edges,
     bloch_vectors,
     classify,
@@ -805,6 +808,104 @@ def test_band_edges_work_count(monkeypatch):
     assert counts["single"] == 0
 
 
+# The first-order DP5 step floquet took before its Nystrom form, verbatim:
+# the reference for the Nystrom step, which is the same step in exact arithmetic.
+def _deriv_into(out, v_x, e, y):
+    """out <- (y[1], (V - E) y[0]), the RHS of the matrix Schrodinger system."""
+    out[0] = y[1]
+    np.multiply(v_x - e, y[0], out=out[1])
+
+
+def _dp5_step(k, vs, e, y, h: float):
+    """One DP5 step of y by h, its stages kept in the buffer k of shape (7,) + y.shape.
+
+    k[0] must hold the slope at the start of the step, and vs[i - 1] is V
+    at x + C[i] h for the stages i = 1..5.  Fills k[1:] and returns the
+    increment h B . k[:6] and the error h E . k.
+    """
+    rows = k.reshape(7, -1)
+    for i in range(1, 6):
+        _deriv_into(k[i], vs[i - 1], e, y + h * (_A[i, :i] @ rows[:i]).reshape(y.shape))
+    d = h * (_B @ rows[:6]).reshape(y.shape)
+    _deriv_into(k[6], vs[4], e, y + d)
+    return d, h * (_E @ rows).reshape(y.shape)
+
+
+def _first_order_step(buf, q, h):
+    """``_dp5_step`` on the Nystrom buffer, in the signature of ``floquet._dp5_step``:
+    the first-order slope at the start is (psi', q psi) = (buf[1], buf[2]).
+
+    With q = vs - E and e = 0 this is, bit for bit, the step ``floquet._advance``
+    took before the Nystrom form."""
+    y = buf[:2]
+    k = np.empty((7,) + y.shape)
+    k[0, 0], k[0, 1] = buf[1], buf[2]
+    d, err = _dp5_step(k, q, 0.0, y, h)
+    buf[8] = k[6, 1]
+    return y + d, err, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+    q_max=st.floats(1e-2, 1e3),
+    h_scaled=st.floats(1e-3, 3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_nystrom_step_is_the_dp5_step(seed, shape, q_max, h_scaled, sign):
+    # the new state and the error agree with the first-order step's to a few
+    # ulps of the largest entry they sum: the state, h times a stage slope
+    # (worst measured over these examples: 1.5 and 0.29 ulps)
+    rng = np.random.default_rng(seed)
+    h = sign * h_scaled / math.sqrt(q_max)
+    q = rng.uniform(-q_max, q_max, (6,) + shape)
+    buf = np.empty((9, 2) + shape)
+    buf[:2] = rng.standard_normal((2, 2) + shape)
+    buf[2] = q[5] * buf[0]
+    y = buf[:2].copy()
+    y_ref, err_ref, k = _first_order_step(buf.copy(), q[:5], h)
+    y_new, err = floquet._dp5_step(buf, q[:5], h)
+    ulp = np.finfo(float).eps * max(np.max(np.abs(y)), abs(h) * np.max(np.abs(k)))
+    assert np.array_equal(buf[:3], np.concatenate((y, buf[2:3])))
+    assert np.max(np.abs(y_new - y_ref)) <= 8 * ulp
+    assert np.max(np.abs(err - err_ref)) <= 2 * ulp
+    assert np.array_equal(buf[8], q[4] * y_new[0])
+
+
+def _acceptance(step, accepted):
+    """Wrap a step so that ``accepted`` records, for each step but the last,
+    whether ``_advance`` took it: a rejected step leaves (psi, psi') as it was."""
+    last = []
+
+    def stepping(buf, q, h):
+        if last:
+            accepted.append(not np.array_equal(buf[:2], last[0]))
+        last[:] = [buf[:2].copy()]
+        return step(buf, q, h)[:2]
+
+    return stepping
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [0.2, 0.5, 0.95])
+def test_nystrom_sweep_takes_the_first_order_steps(monkeypatch, n, m):
+    # the CLI's 800-energy bands sweep with the first-order step and with the
+    # Nystrom one: the same accepted and rejected steps in the same order, and
+    # D to 1e-11 max(1, |D|) (worst measured: 1.6e-12, lame(2, 0.95))
+    v = lame(n, m)
+    es = np.linspace(*v.band_window, 800)
+    passes = []
+    for step in (_first_order_step, floquet._dp5_step):
+        accepted = []
+        monkeypatch.setattr(floquet, "_dp5_step", _acceptance(step, accepted))
+        passes.append((accepted, discriminants(v, es)))
+    (accepted_ref, d_ref), (accepted, d) = passes
+    assert accepted == accepted_ref
+    assert 0 < sum(accepted) < len(accepted)
+    assert np.all(np.abs(d - d_ref) <= 1e-11 * np.maximum(1.0, np.abs(d_ref)))
+
+
 def test_shooting_work_count(monkeypatch, scenario_cache):
     # each mismatch evaluation is one cell_matrices call, one integrator pass
     # over the window's periods: a scan of 65 energies at the loose rtol, at
@@ -838,10 +939,10 @@ def test_shooting_work_count(monkeypatch, scenario_cache):
         calls.append((np.array(energies, dtype=float), rtol))
         return cell_matrices(v, energies, *args, rtol=rtol)
 
-    def stepping(k, vs, e, y, h):
+    def stepping(buf, q, h):
         counts["steps"] += 1
-        counts["cell_steps"] += y[0, 0].size
-        return dp5_step(k, vs, e, y, h)
+        counts["cell_steps"] += q[0].size
+        return dp5_step(buf, q, h)
 
     monkeypatch.setattr(floquet, "cell_matrices", recording)
     monkeypatch.setattr(floquet, "_dp5_step", stepping)

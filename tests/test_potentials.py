@@ -91,6 +91,19 @@ def test_tailed_table_matches_not_a_knot_spline():
     assert np.max(gap[ends]) < 1e-8
 
 
+def test_tailed_table_hits_its_samples():
+    # dx is linspace's own step, so over 16 periods the table matches its
+    # samples to 1e-13 (1.8e-14 measured) and ends on the last one; xs[1] -
+    # xs[0] as dx drifts 5.5e-11 in x and misses them by 1.4e-10
+    v = lame(2, 0.5)
+    period = v.period
+    x = np.linspace(-8 * period, 8 * period, 16 * 2048 + 1)
+    tab = TabulatedPotential.from_function(v, x[0], x[-1], period, 2048,
+                                           tail=ConstantPotential(0.0, period))
+    assert tab.x_hi == x[-1]
+    assert np.max(np.abs(tab(x) - v(x))) < 1e-13
+
+
 def test_tabulated_tail_contract():
     v = lame(1, 0.5)
     period = v.period
