@@ -28,7 +28,6 @@ from .errors import (
     SeedConsistencyError,
     SingularTransformError,
 )
-from .floquet import CSV_BLOCK_ROWS
 from .numdiff import (BOUNDARY_CELLS, cell_max, derivative, local_max, second_derivative,
                       sign_changes)
 from .potentials import Potential, TabulatedPotential
@@ -412,11 +411,21 @@ def apply_intertwiner(result: TransformResult, seed: SeedSolution):
 
 def write_transform_csv(stream, result: TransformResult):
     """CSV columns: x, V, V_partner, beta_or_alpha, psi_kernel_1, psi_kernel_2
-    (12 significant digits); a kernel column the result lacks stays empty."""
+    (12 significant digits); a kernel column the result lacks stays empty.
+
+    The text is `"%.12g" % value` of each field, formatted BLOCK_ROWS rows at
+    a time through one reused block."""
+    # imported on the first write: `bands` and the analysis calls never load
+    # the kernel's tables
+    from ._csvtext import BLOCK_ROWS, format_rows
+
     stream.write("x,V,V_partner,beta_or_alpha,psi_kernel_1,psi_kernel_2\n")
     kernel = [state.psi for state in result.kernel[:2]]
     cols = [result.x, result.v_values, result.partner_values, result.intertwiner, *kernel]
-    row_fmt = ",".join(["%.12g"] * len(cols) + [""] * (2 - len(kernel))) + "\n"
-    for lo in range(0, len(result.x), CSV_BLOCK_ROWS):
-        block = np.column_stack([col[lo : lo + CSV_BLOCK_ROWS] for col in cols])
-        stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    blank = np.arange(6) >= len(cols)
+    block = np.zeros((BLOCK_ROWS, 6))
+    for lo in range(0, len(result.x), BLOCK_ROWS):
+        rows = block[: len(result.x) - lo]
+        for j, col in enumerate(cols):
+            rows[:, j] = col[lo : lo + BLOCK_ROWS]
+        stream.write(format_rows(rows, blank))

@@ -65,7 +65,7 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 #: |D| within this of 2 classifies an energy as a band edge
 EDGE_TOL = 1e-7
-CSV_BLOCK_ROWS = 2048  # rows per `%` call of the CSV writers: one default period
+CSV_BLOCK_ROWS = 2048  # rows per `%` call of write_discriminant_csv: one default period
 
 # Dormand-Prince 5(4) tableau (FSAL).  Stage i is the slope at x + C[i] h of
 # y + h A[i, :i] . k[:i]; the step is h B . k[:6], its error estimate

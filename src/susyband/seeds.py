@@ -559,13 +559,15 @@ def superpotential(seed: SeedSolution) -> SuperpotentialTrace:
 
 
 def write_seed_csv(stream, seed: SeedSolution):
-    """Emit the seed trace as CSV: x, u, u_prime, alpha (12 significant digits)."""
+    """Emit the seed trace as CSV: x, u, u_prime, alpha (12 significant digits).
+
+    The text is `"%.12g" % value` of each field, BLOCK_ROWS rows at a time; a
+    non-finite alpha = u'/u (a node, or an overflow) is an empty field."""
+    from ._csvtext import BLOCK_ROWS, format_rows  # on the first write, as in darboux
+
     stream.write("x,u,u_prime,alpha\n")
-    for lo in range(0, len(seed.x), floquet.CSV_BLOCK_ROWS):
-        x, u, up = (col[lo : lo + floquet.CSV_BLOCK_ROWS] for col in (seed.x, seed.u, seed.u_prime))
+    for lo in range(0, len(seed.x), BLOCK_ROWS):
+        x, u, up = (col[lo : lo + BLOCK_ROWS] for col in (seed.x, seed.u, seed.u_prime))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            table = np.column_stack((x, u, up, up / u))
-        # a non-finite alpha is an empty field: drop its value and its format
-        keep = np.isfinite(table) | [True, True, True, False]
-        row_fmt = np.where(keep[:, 3], "%.12g,%.12g,%.12g,%.12g\n", "%.12g,%.12g,%.12g,\n")
-        stream.write("".join(row_fmt.tolist()) % tuple(table[keep].tolist()))
+            block = np.column_stack((x, u, up, up / u))
+        stream.write(format_rows(block, ~np.isfinite(block) & [False, False, False, True]))

@@ -394,6 +394,27 @@ def test_inverse_transform_round_trip(n, m, epsilon):
     assert np.max(np.abs(again.partner_values - v(again.x))) < 1e-9
 
 
+@pytest.mark.parametrize("n, m", [(1, 0.5), (2, 0.5), (3, 0.3), (2, 0.8)])
+def test_crum_chain_matches_susy2(n, m):
+    # Crum (1955): the order-2 partner V - 2 (ln W)'' is the order-1 partner,
+    # at eps2, of the order-1 partner P at eps1, seeded by P's own Bloch
+    # solution, whose multiplier is the original one.  Both energies lie
+    # below the spectrum, as V >= 0.  Worst measured over the 12 cases:
+    # 7.3e-12 in the partner and 1.9e-13 in the multiplier (n = 2, m = 0.8)
+    v = lame(n, m)
+    eps1, eps2 = -1.0, -0.5
+    first, second = bloch_seed(v, eps1), bloch_seed(v, eps2)
+    for k1, k2 in ((0, 0), (0, 1), (1, 1)):  # (growing, decaying) index
+        direct = susy2(v, first[k1], second[k2])
+        p = susy1(v, first[k1]).partner
+        seed = bloch_seed(p, eps2)[k2]
+        chain = susy1(p, seed)
+        assert np.array_equal(chain.x, direct.x)
+        middle = slice(len(direct.x) // 4, 3 * len(direct.x) // 4 + 1)
+        assert np.max(np.abs(chain.partner_values[middle] - direct.partner_values[middle])) < 2e-11
+        assert seed.multiplier == pytest.approx(second[k2].multiplier, rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def long_pair():
     v = lame(1, 0.5)
