@@ -1,7 +1,8 @@
-"""The text `"%.12g" % value` gives, for a block of float rows at once.
+"""The one path from a float table to CSV text: `"%.12g" % value` per field.
 
-`format_rows` joins the fields of a row with `,` and ends each row with a
-newline, byte for byte as `%` would.  The fast case is all numpy: one
+Every CSV writer of the package calls `write_table`, which hands BLOCK_ROWS
+rows at a time to `format_rows`: fields joined by `,`, rows ended by
+newlines, byte for byte as `%` would.  The fast case is all numpy: one
 multiply by a tabulated power of ten and a floor give the correctly rounded
 12-digit mantissa M in [1e11, 1e12), whose three 4-digit groups index an
 ASCII table.  Each field is laid out in four little-endian `uint64` words,
@@ -26,8 +27,8 @@ import sys
 
 import numpy as np
 
-#: rows per `format_rows` call of the seed and transform CSV writers; with
-#: six columns, a block's temporaries stay near 25 KB and its text under 100 KB
+#: rows per `format_rows` call of `write_table`; with six columns, a block's
+#: temporaries stay near 25 KB and its text under 100 KB
 BLOCK_ROWS = 512
 
 # the word layout is that of a little-endian uint64; elsewhere the empty
@@ -182,3 +183,15 @@ def format_rows(block, blank=None) -> str:
         words[slow, :3] = np.frombuffer(text, dtype=np.uint64).reshape(-1, 3)
     words.reshape(rows, cols, 4)[:, -1, 3] ^= _NEWLINE
     return words.tobytes().translate(None, b"\0").decode()
+
+
+def write_table(stream, header, columns, blank=None, text=None):
+    """The `header` line, then the float `columns` as CSV rows; `blank(block)`
+    marks a block's empty fields, `text(block)` gives each row a last field."""
+    stream.write(header + "\n")
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        block = np.column_stack([col[lo : lo + BLOCK_ROWS] for col in columns])
+        rows = format_rows(block, None if blank is None else blank(block))
+        if text is not None:
+            rows = "".join(map("{},{}\n".format, rows.splitlines(), text(block)))
+        stream.write(rows)

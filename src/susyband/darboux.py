@@ -411,21 +411,13 @@ def apply_intertwiner(result: TransformResult, seed: SeedSolution):
 
 def write_transform_csv(stream, result: TransformResult):
     """CSV columns: x, V, V_partner, beta_or_alpha, psi_kernel_1, psi_kernel_2
-    (12 significant digits); a kernel column the result lacks stays empty.
+    (12 significant digits); a kernel column the result lacks stays empty."""
+    # imported on the first write: `bands` and the analysis calls never build its tables
+    from ._csvtext import write_table
 
-    The text is `"%.12g" % value` of each field, formatted BLOCK_ROWS rows at
-    a time through one reused block."""
-    # imported on the first write: `bands` and the analysis calls never load
-    # the kernel's tables
-    from ._csvtext import BLOCK_ROWS, format_rows
-
-    stream.write("x,V,V_partner,beta_or_alpha,psi_kernel_1,psi_kernel_2\n")
     kernel = [state.psi for state in result.kernel[:2]]
     cols = [result.x, result.v_values, result.partner_values, result.intertwiner, *kernel]
-    blank = np.arange(6) >= len(cols)
-    block = np.zeros((BLOCK_ROWS, 6))
-    for lo in range(0, len(result.x), BLOCK_ROWS):
-        rows = block[: len(result.x) - lo]
-        for j, col in enumerate(cols):
-            rows[:, j] = col[lo : lo + BLOCK_ROWS]
-        stream.write(format_rows(rows, blank))
+    empty = np.arange(6) >= len(cols)
+    cols += [np.broadcast_to(0.0, result.x.shape)] * (6 - len(cols))
+    write_table(stream, "x,V,V_partner,beta_or_alpha,psi_kernel_1,psi_kernel_2", cols,
+                blank=lambda block: empty)

@@ -107,21 +107,21 @@ def sn_squared(x, m: float):
     """sn^2(x|m) at real x (a float or an ndarray) for parameter m in [0, 1].
 
     The sn update of ``jacobi_sncndn``'s recursion alone, on |x| reduced mod 2K
-    and mirrored about K.  m = 0 gives sin^2 and m = 1 tanh^2.
+    and mirrored about K.  m = 0 gives sin^2 and m = 1 tanh^2.  A float x comes
+    back a float, through the array path as in ``jacobi_sncndn``.
     """
     m = _check_parameter(m, complete=False)
-    scalar = np.isscalar(x)  # math on a float: numpy's call overhead outweighs the arithmetic
-    sin, tanh, fmod, low = ((math.sin, math.tanh, math.fmod, min) if scalar
-                            else (np.sin, np.tanh, np.fmod, np.minimum))
-    x = float(x) if scalar else np.asarray(x, dtype=float)
+    if np.isscalar(x):
+        return float(sn_squared(np.array([x], dtype=float), m)[0])
+    x = np.asarray(x, dtype=float)
     if m == 0.0 or m == 1.0:
-        s = (sin if m == 0.0 else tanh)(x)
+        s = (np.sin if m == 0.0 else np.tanh)(x)
         return s * s
 
     agm, moduli = _agm_ladder(m)
     half = math.pi / agm  # 2K(m), the period of sn^2
-    y = fmod(abs(x), half)  # exact, and twice as fast as numpy's floored %
-    s = sin(agm * low(y, half - y))
+    y = np.fmod(np.abs(x), half)  # exact, and twice as fast as numpy's floored %
+    s = np.sin(agm * np.minimum(y, half - y))
     for k in moduli:
         s = (1.0 + k) * s / (1.0 + k * s * s)
     return s * s

@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
     "EDGE_TOL",
-    "CSV_BLOCK_ROWS",
     "TransferMatrix",
     "EnergyClass",
     "BandStructure",
@@ -65,7 +64,6 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 #: |D| within this of 2 classifies an energy as a band edge
 EDGE_TOL = 1e-7
-CSV_BLOCK_ROWS = 2048  # rows per `%` call of write_discriminant_csv: one default period
 
 # Dormand-Prince 5(4) tableau (FSAL).  Stage i is the slope at x + C[i] h of
 # y + h A[i, :i] . k[:i]; the step is h B . k[:6], its error estimate
@@ -527,10 +525,9 @@ def band_edges(v: Potential, e_min: float, e_max: float) -> BandStructure:
 
 def write_discriminant_csv(stream, v, energies):
     """Emit an E, D(E), class_tag sweep as CSV (12 significant digits)."""
+    # imported on the first write: `import susyband` never builds the kernel's tables
+    from ._csvtext import write_table
+
     energies = np.asarray(energies, dtype=float)
-    ds = discriminants(v, energies)
-    stream.write("E,D,class_tag\n")
-    for lo in range(0, ds.size, CSV_BLOCK_ROWS):
-        e, d = energies[lo : lo + CSV_BLOCK_ROWS], ds[lo : lo + CSV_BLOCK_ROWS]
-        rows = zip(e.tolist(), d.tolist(), _tags(d).tolist())
-        stream.write(("%.12g,%.12g,%s\n" * d.size) % tuple(field for row in rows for field in row))
+    write_table(stream, "E,D,class_tag", [energies, discriminants(v, energies)],
+                text=lambda block: _tags(block[:, 1]).tolist())

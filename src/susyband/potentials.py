@@ -148,12 +148,13 @@ class TabulatedPotential(Potential):
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size < 8:
             raise ValueError("need a 1-d array of at least 8 samples")
+        x_lo, dx, period = float(x_lo), float(dx), float(period)
+        for name, given in zip(("values", "x_lo", "dx", "period"), (values, x_lo, dx, period)):
+            if not np.isfinite(given).all():
+                raise ValueError(f"a tabulated potential needs finite {name}")
         if dx <= 0 or period <= 0:
             raise ValueError("dx and period must be positive")
-        self.x_lo = float(x_lo)
-        self.dx = float(dx)
-        self.period = float(period)
-        self.tail = tail
+        self.x_lo, self.dx, self.period, self.tail = x_lo, dx, period, tail
         self.x_hi = self.x_lo + self.dx * (values.size - 1)
         span = self.x_hi - self.x_lo
         if tail is None:

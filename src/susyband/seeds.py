@@ -559,15 +559,11 @@ def superpotential(seed: SeedSolution) -> SuperpotentialTrace:
 
 
 def write_seed_csv(stream, seed: SeedSolution):
-    """Emit the seed trace as CSV: x, u, u_prime, alpha (12 significant digits).
+    """Emit the seed trace as CSV: x, u, u_prime, alpha (12 significant digits);
+    a non-finite alpha = u'/u (a node, or an overflow) is an empty field."""
+    from ._csvtext import write_table  # on the first write, as in darboux
 
-    The text is `"%.12g" % value` of each field, BLOCK_ROWS rows at a time; a
-    non-finite alpha = u'/u (a node, or an overflow) is an empty field."""
-    from ._csvtext import BLOCK_ROWS, format_rows  # on the first write, as in darboux
-
-    stream.write("x,u,u_prime,alpha\n")
-    for lo in range(0, len(seed.x), BLOCK_ROWS):
-        x, u, up = (col[lo : lo + BLOCK_ROWS] for col in (seed.x, seed.u, seed.u_prime))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            block = np.column_stack((x, u, up, up / u))
-        stream.write(format_rows(block, ~np.isfinite(block) & [False, False, False, True]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        alpha = seed.u_prime / seed.u
+    write_table(stream, "x,u,u_prime,alpha", [seed.x, seed.u, seed.u_prime, alpha],
+                blank=lambda block: ~np.isfinite(block) & [False, False, False, True])

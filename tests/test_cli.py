@@ -182,6 +182,10 @@ _LAME1 = {"kind": "lame", "n": 1, "m": 0.5}
     ("transform", {"potential": _LAME1, "order": 2, "seed": "general",
                    "seeds": [{"epsilon": -1.0, "c_plus": 1.0, "c_minus": 0.0},
                              {"epsilon": -0.5, "c_plus": -0.0, "c_minus": 0.0}]}, "'c_minus'"),
+    # a NaN sample, which JSON's NaN literal lets through, named as the cause
+    ("transform", {"potential": {"kind": "tabulated", "x_lo": 0.0, "dx": 0.0625, "period": 1.0,
+                                 "values": [0.0] * 8 + [math.nan] + [0.0] * 8, "tail": None},
+                   "order": 1, "seed": "bloch", "epsilon": -1.0}, "finite values"),
 ])
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, doc, field):
     cfg = tmp_path / "cfg.json"

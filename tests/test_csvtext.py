@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susyband._csvtext import BLOCK_ROWS, format_rows
-from susyband.floquet import CSV_BLOCK_ROWS
 
 
 def _reference(block, blank=None):
@@ -87,8 +86,3 @@ def test_blank_fields_and_block_unchanged():
     assert format_rows(block, np.array([False, False, True])) == "1.5,nan,\n0,3,\n"
     assert np.array_equal(block, before, equal_nan=True)
 
-
-def test_block_rows_divide_the_writers_block_edges():
-    # the writers' block-edge tests plant values around multiples of
-    # CSV_BLOCK_ROWS, which are then also edges of the kernel's blocks
-    assert CSV_BLOCK_ROWS % BLOCK_ROWS == 0

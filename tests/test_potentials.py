@@ -126,6 +126,22 @@ def test_tabulated_validation():
     with pytest.raises(ValueError):
         # periodic table that does not close
         TabulatedPotential(0.0, 1.0 / 16, np.linspace(0, 1, 17), 1.0)
+    # a non-finite sample or grid number is named, not left to fail later
+    closed = np.cos(np.linspace(0.0, 2.0 * np.pi, 17))
+    for args, name in (
+        ((0.0, 1.0 / 16, np.where(np.arange(17) == 5, np.nan, closed), 1.0), "values"),
+        ((0.0, 1.0 / 16, np.where(np.arange(17) == 16, np.inf, closed), 1.0), "values"),
+        ((np.nan, 1.0 / 16, closed, 1.0), "x_lo"),
+        ((0.0, np.nan, closed, 1.0), "dx"),
+        ((0.0, np.inf, closed, 1.0), "dx"),
+        ((0.0, 1.0 / 16, closed, np.nan), "period"),
+        ((0.0, 1.0 / 16, closed, np.inf), "period"),
+    ):
+        with pytest.raises(ValueError, match=f"finite {name}"):
+            TabulatedPotential(*args)
+    flat = ConstantPotential(0.0, 2.0)
+    with pytest.raises(ValueError, match="finite values"):
+        TabulatedPotential(-1.0, 0.125, [0.0] * 8 + [np.nan] * 9, 2.0, tail=flat)
 
 
 def test_json_round_trip():

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from susyband import floquet, seeds
 from susyband.elliptic import complete_k, jacobi_sncndn
 from susyband.errors import BandEnergyError, SingularSeedError, WindowOverflowError
-from susyband.floquet import CSV_BLOCK_ROWS, propagate
+from susyband._csvtext import BLOCK_ROWS
+from susyband.floquet import propagate
 from susyband.numdiff import sign_changes
 from susyband.potentials import ConstantPotential, lame
 from susyband.seeds import (
@@ -421,8 +422,7 @@ def test_seed_csv_block_edges(block_edge_column, block_edge_rows):
     x, u, up = (block_edge_column(rows, shift) for shift in range(3))
     # a node on each side of each block edge: a blank alpha in the last row
     # of one block and the first row of the next
-    nodes = [i for i in (CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS)
-             if i < rows]
+    nodes = [i for i in range(1, rows) if i % BLOCK_ROWS in (0, BLOCK_ROWS - 1)]
     u[nodes], up[nodes] = 0.0, 1.0
     planted = dataclasses.replace(seed, x=x, u=u, u_prime=up)
     buf = io.StringIO()
