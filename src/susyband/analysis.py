@@ -37,12 +37,15 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: displacement_fit: samples per period, samples between coarse offsets, golden-section
-#: steps; samples between the points of an offset's lower bound, offsets scored first
+#: steps; samples between the points of an offset's lower bound, offsets scored first;
+#: samples that join the active set at a time (from each seeding offset, then from
+#: each confirmation that finds a larger sample outside it)
 _FIT_SAMPLES = 2048
 _FIT_STRIDE = 2
 _FIT_ITERS = 60
-_BOUND_STRIDE = 16
+_BOUND_STRIDE = 32
 _FIT_FIRST = 8
+_FIT_ACTIVE = 8
 #: bound on both invariance residuals (displacement and product variation)
 _INVARIANCE_TOL = 1e-4
 #: shooting: integrator rtol, energies of the first scan, width of the final bracket;
@@ -78,16 +81,28 @@ def compare_band_structure(v: Potential, w: Potential, e_grid) -> float:
     return float(np.max(np.abs(dv - dw)))
 
 
-def _linf_mismatch(v, w_values, xs, delta):
-    return float(np.max(np.abs(np.asarray(v(xs + delta), dtype=float) - w_values)))
+def _finite_samples(potential, name, xs):
+    values = np.asarray(potential(xs), dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"displacement_fit: {name} is {float(values[k])!r} at "
+                         f"x = {float(xs[k])!r}, not finite")
+    return values
+
+
+def _largest(errors):
+    """Sorted indices of the _FIT_ACTIVE largest errors of each row, over all rows."""
+    return np.unique(np.argpartition(errors, -_FIT_ACTIVE, axis=-1)[..., -_FIT_ACTIVE:])
 
 
 def _best_offset(v_values, w_values):
     """First i minimizing max_j |v_values[(_FIT_STRIDE i + j) % N] - w_values[j]|
     (v(xs + xs[_FIT_STRIDE i]) up to rounding), and how many offsets it scored.
-    The max over every _BOUND_STRIDE-th sample bounds a score from below; the
-    _FIT_FIRST least bounds are scored, then each offset whose bound is at most
-    the best score. These hold every offset of least score: np.argmin's i."""
+    The max over every _BOUND_STRIDE-th (32nd) sample bounds a score from below,
+    as the max over any subset of the samples does; the _FIT_FIRST least bounds
+    are scored, then each offset whose bound is at most the best score. These
+    hold every offset of least score: np.argmin's i."""
     n = w_values.size
     rows = sliding_window_view(np.tile(v_values, 2), n)[:n:_FIT_STRIDE]
     bounds = np.max(np.abs(rows[:, ::_BOUND_STRIDE] - w_values[::_BOUND_STRIDE]), axis=1)
@@ -98,38 +113,68 @@ def _best_offset(v_values, w_values):
     return int(candidates[np.argmin(scores)]), first.size + candidates.size
 
 
-def displacement_fit(v: Potential, w: Potential) -> tuple[float, float]:
-    """delta in [0, T) minimizing the L-infinity distance |w(x) - v(x + delta)|.
-
-    Coarse scan over every _FIT_STRIDE-th sample point (_best_offset), then
-    golden-section refinement around the first best one.  The max-norm (rather
-    than L2) keeps localized defects visible instead of averaging them away.
-    """
-    period = _matched_period(v, w)
-    xs = np.linspace(0.0, period, _FIT_SAMPLES, endpoint=False)
-    w_values = np.asarray(w(xs), dtype=float)
-    best = xs[_FIT_STRIDE * _best_offset(np.asarray(v(xs), dtype=float), w_values)[0]]
-    step = _FIT_STRIDE * period / _FIT_SAMPLES
-    a = best - step
-    b = best + step
+def _golden_section(f, a, b):
+    """Midpoint of [a, b] after golden-section steps on f: _FIT_ITERS of them,
+    or fewer once the bracket is narrower than 1e-12."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    f_c = _linf_mismatch(v, w_values, xs, c)
-    f_d = _linf_mismatch(v, w_values, xs, d)
+    f_c = f(c)
+    f_d = f(d)
     for _ in range(_FIT_ITERS):
         if f_c <= f_d:
             b, d, f_d = d, c, f_c
             c = b - _GOLDEN * (b - a)
-            f_c = _linf_mismatch(v, w_values, xs, c)
+            f_c = f(c)
         else:
             a, c, f_c = c, d, f_d
             d = a + _GOLDEN * (b - a)
-            f_d = _linf_mismatch(v, w_values, xs, d)
+            f_d = f(d)
         if b - a < 1e-12:
             break
-    delta = 0.5 * (a + b)
-    residual = _linf_mismatch(v, w_values, xs, delta)
-    return float(delta % period), residual
+    return 0.5 * (a + b)
+
+
+def displacement_fit(v: Potential, w: Potential) -> tuple[float, float]:
+    """delta in [0, T) minimizing the L-infinity distance |w(x) - v(x + delta)|
+    over _FIT_SAMPLES samples x of a period, and that distance.
+
+    Coarse scan over every _FIT_STRIDE-th sample point (_best_offset), then
+    golden-section refinement between the offsets on either side of the
+    first best one.  The max-norm (rather than L2) keeps localized defects
+    visible instead of averaging them away.
+
+    The refinement scores a delta on an active set S of samples, where V is
+    cheap: near the optimum a handful of samples hold the maximum.  S starts
+    as the _FIT_ACTIVE largest residuals at the best offset and at both
+    bracket ends, read off the scan's samples of v.  After each pass v is
+    evaluated on every sample at its result.  If a sample outside S is
+    larger than the max over S there, the _FIT_ACTIVE largest residuals
+    join S and the pass runs again from the start.  Otherwise the full max
+    at the result is the max over S, at most the least max over S and so at
+    most the least full max: the result is the full refinement's minimizer,
+    and that evaluation gives the residual.  Raises ValueError when v or w
+    is not finite at a sample.
+    """
+    period = _matched_period(v, w)
+    xs = np.linspace(0.0, period, _FIT_SAMPLES, endpoint=False)
+    v_values = _finite_samples(v, "v", xs)
+    w_values = _finite_samples(w, "w", xs)
+    i = _best_offset(v_values, w_values)[0]
+    # v(xs + xs[_FIT_STRIDE k]) up to rounding, at the bracket ends k = i -+ 1 and at i
+    shifts = _FIT_STRIDE * np.arange(i - 1, i + 2)[:, None]
+    rolled = (np.arange(_FIT_SAMPLES) + shifts) % _FIT_SAMPLES
+    active = _largest(np.abs(v_values[rolled] - w_values))
+    best = xs[_FIT_STRIDE * i]
+    step = _FIT_STRIDE * period / _FIT_SAMPLES
+    while True:
+        xs_s, w_s = xs[active], w_values[active]
+        delta = _golden_section(
+            lambda d: float(np.max(np.abs(np.asarray(v(xs_s + d), dtype=float) - w_s))),
+            best - step, best + step)
+        errors = np.abs(np.asarray(v(xs + delta), dtype=float) - w_values)
+        if not (errors > np.max(errors[active])).any():
+            return float(delta % period), float(np.max(errors))
+        active = np.union1d(active, _largest(errors))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +29,13 @@ from susyband import seeds as seeds_module
 from susyband.darboux import susy1
 from susyband.floquet import band_edges, discriminant, growing_multiplier
 from susyband.numdiff import itp_root
-from susyband.potentials import ConstantPotential, ShiftedPotential, lame
+from susyband.potentials import (
+    ConstantPotential,
+    Potential,
+    ShiftedPotential,
+    TabulatedPotential,
+    lame,
+)
 from susyband.seeds import bloch_seed, general_seed, nodeless_mixing
 
 LAME1 = lame(1, 0.5)
@@ -159,6 +166,98 @@ def test_displacement_not_a_copy(scenario_cache):
     run = scenario_cache("fig1b")  # n=2 lowest-edge transform
     _, residual = displacement_fit(run.potential, run.result.partner)
     assert residual > 0.1
+
+
+class _Counting(Potential):
+    """v, counting its calls on the 2048 samples of a whole period and
+    recording the sizes of the others (the active-set evaluations)."""
+
+    def __init__(self, base):
+        self.base, self.period = base, base.period
+        self.full, self.sizes = 0, []
+
+    def __call__(self, x):
+        if np.size(x) == 2048:
+            self.full += 1
+        else:
+            self.sizes.append(np.size(x))
+        return self.base(x)
+
+
+class _Planted(Potential):
+    """base, with value at the sample x of the fit's grid."""
+
+    def __init__(self, base, x, value):
+        self.base, self.period, self.x, self.value = base, base.period, x, value
+
+    def __call__(self, x):
+        out = np.array(self.base(x), dtype=float)
+        out[x == self.x] = self.value
+        return out
+
+
+def _same_fit(fit, reference, period):
+    # delta to 1e-12 modulo the period, a residual no larger than the reference's
+    delta, residual = fit
+    assert abs((delta - reference[0] + period / 2) % period - period / 2) < 1e-12
+    assert residual <= reference[1]
+
+
+@lru_cache(maxsize=None)
+def _lowest_edge(n, m):
+    v = lame(n, m)
+    return band_edges(v, *v.band_window).edges[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.floats(0.05, 0.97), st.floats(0.02, 0.8), st.integers(0, 1))
+def test_active_set_fit_is_the_full_grid_fit(n, m, below, pick):
+    # the fit on active samples against golden section on every sample
+    v = lame(n, m)
+    w = susy1(v, bloch_seed(v, _lowest_edge(n, m) - below)[pick]).partner
+    _same_fit(displacement_fit(v, w), _grid_displacement_fit(v, w), v.period)
+
+
+def test_fit_evaluates_the_full_period_a_few_times(scenario_cache):
+    # the scan's v(xs) and one confirmation per pass: 2, 3 and 3 here, where
+    # golden section on every sample took 52
+    fig1a = scenario_cache("fig1a")
+    pairs = [(fig1a.potential, fig1a.result.partner), (LAME1, ShiftedPotential(LAME1, 0.77)),
+             (LAME2, susy1(LAME2, bloch_seed(LAME2, -0.5)[0]).partner)]
+    for v, w in pairs:
+        counting = _Counting(v)
+        _same_fit(displacement_fit(counting, w), _grid_displacement_fit(v, w), v.period)
+        assert 2 <= counting.full <= 4
+
+
+@pytest.mark.parametrize("spike", [1e-6, 1e-4])
+def test_active_set_grows_to_a_planted_spike(spike):
+    # a displaced copy with one sample raised where v' = 0: the seeding
+    # residuals there are least, yet the spike holds the maximum at the fit
+    period = LAME1.period
+    x = np.linspace(0.0, period, 2049)
+    values = LAME1(x + 0.77)
+    k = int(round((period / 2 - 0.77) / period * 2048))
+    values[k] += spike
+    w = TabulatedPotential(0.0, period / 2048, values, period)
+    counting = _Counting(LAME1)
+    fit = displacement_fit(counting, w)
+    _same_fit(fit, _grid_displacement_fit(LAME1, w), period)
+    assert 0.5 * spike < fit[1] <= spike
+    # the passes score growing active sets
+    assert sorted(set(counting.sizes)) == list(dict.fromkeys(counting.sizes))
+    assert len(set(counting.sizes)) == counting.full - 1 >= 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["v", "w"])
+def test_displacement_fit_names_a_nonfinite_sample(name, value):
+    x = float(np.linspace(0.0, LAME1.period, 2048, endpoint=False)[700])
+    planted = _Planted(LAME1, x, value)
+    v, w = (planted, LAME1) if name == "v" else (LAME1, planted)
+    message = f"{name} is {value!r} at x = {x!r}, not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        displacement_fit(v, w)
 
 
 def test_invariance_n1_below_spectrum():

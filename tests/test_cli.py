@@ -143,49 +143,79 @@ def test_malformed_config_exit_2(tmp_path):
 _LAME1 = {"kind": "lame", "n": 1, "m": 0.5}
 
 
+# explicit ids, the ones the cases had by position: a case added anywhere renames no other
 @pytest.mark.parametrize("command, doc, field", [
-    ("bands", {"potential": 5}, "potential"),
-    ("bands", {"potential": {"kind": "shifted", "delta": 0.1, "base": [1]}}, "potential"),
-    ("bands", {"potential": {"kind": "tabulated", "x_lo": 0.0, "dx": 0.5, "period": 1.0,
-                             "values": [0.0, 1.0, 0.0], "tail": "flat"}}, "potential"),
-    ("transform", {"potential": _LAME1, "order": 3,
-                   "seeds": [{"epsilon": 1.2}, {"epsilon": 1.4}]}, "'order'"),
-    ("transform", {"potential": _LAME1, "order": 1, "seed": "bloch"}, "'epsilon'"),
-    ("bands", {"potential": _LAME1, "e_min": "x", "e_max": 3.0}, "'e_min'"),
-    ("bands", {"potential": _LAME1, "e_min": 3.0, "e_max": 3.0}, "'e_min'"),
-    ("invariance", {"potential": _LAME1, "epsilon": "x"}, "'epsilon'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": "x"}, "'c_plus'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": ""}, "'c_plus'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": False, "c_minus": 1.0}, "'c_plus'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": [], "c_minus": 1.0}, "'c_plus'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 1.0, "c_minus": True}, "'c_minus'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 0, "c_minus": -0.0}, "'c_minus'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_minus": 0.0}, "'c_plus'"),
+    pytest.param("bands", {"potential": 5}, "potential", id="bands-doc0-potential"),
+    pytest.param("bands", {"potential": {"kind": "shifted", "delta": 0.1, "base": [1]}},
+                 "potential", id="bands-doc1-potential"),
+    pytest.param("bands", {"potential": {"kind": "tabulated", "x_lo": 0.0, "dx": 0.5,
+                                         "period": 1.0, "values": [0.0, 1.0, 0.0],
+                                         "tail": "flat"}},
+                 "potential", id="bands-doc2-potential"),
+    pytest.param("transform", {"potential": _LAME1, "order": 3,
+                               "seeds": [{"epsilon": 1.2}, {"epsilon": 1.4}]},
+                 "'order'", id="transform-doc3-'order'"),
+    pytest.param("transform", {"potential": _LAME1, "order": 1, "seed": "bloch"},
+                 "'epsilon'", id="transform-doc4-'epsilon'"),
+    pytest.param("bands", {"potential": _LAME1, "e_min": "x", "e_max": 3.0},
+                 "'e_min'", id="bands-doc5-'e_min'"),
+    pytest.param("bands", {"potential": _LAME1, "e_min": 3.0, "e_max": 3.0},
+                 "'e_min'", id="bands-doc6-'e_min'"),
+    pytest.param("invariance", {"potential": _LAME1, "epsilon": "x"},
+                 "'epsilon'", id="invariance-doc7-'epsilon'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": "x"},
+                 "'c_plus'", id="states-doc8-'c_plus'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": ""},
+                 "'c_plus'", id="states-doc9-'c_plus'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": False, "c_minus": 1.0},
+                 "'c_plus'", id="states-doc10-'c_plus'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": [], "c_minus": 1.0},
+                 "'c_plus'", id="states-doc11-'c_plus'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 1.0, "c_minus": True},
+                 "'c_minus'", id="states-doc12-'c_minus'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 0, "c_minus": -0.0},
+                 "'c_minus'", id="states-doc13-'c_minus'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_minus": 0.0},
+                 "'c_plus'", id="states-doc14-'c_plus'"),
     # non-finite numbers, as strings and as the NaN / Infinity literals
-    ("states", {"potential": _LAME1, "epsilon": "nan"}, "'epsilon'"),
-    ("states", {"potential": _LAME1, "epsilon": math.nan}, "'epsilon'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": "inf", "c_minus": 1.0}, "'c_plus'"),
-    ("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 1.0, "c_minus": -math.inf},
-     "'c_minus'"),
-    ("transform", {"potential": _LAME1, "order": 1, "seed": "bloch", "epsilon": "inf"},
-     "'epsilon'"),
-    ("transform", {"potential": _LAME1, "order": 2,
-                   "seeds": [{"epsilon": -1.0}, {"epsilon": math.nan}]}, "'epsilon'"),
-    ("transform", {"potential": _LAME1, "order": 1, "seed": "general", "epsilon": -1.0,
-                   "c_plus": math.inf, "c_minus": 1.0}, "'c_plus'"),
-    ("invariance", {"potential": _LAME1, "epsilon": "-inf"}, "'epsilon'"),
-    ("bands", {"potential": _LAME1, "e_min": -math.inf, "e_max": 3.0}, "'e_min'"),
-    ("bands", {"potential": _LAME1, "e_min": 0.0, "e_max": "nan"}, "'e_max'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": "nan"},
+                 "'epsilon'", id="states-doc15-'epsilon'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": math.nan},
+                 "'epsilon'", id="states-doc16-'epsilon'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": "inf", "c_minus": 1.0},
+                 "'c_plus'", id="states-doc17-'c_plus'"),
+    pytest.param("states", {"potential": _LAME1, "epsilon": -1.0, "c_plus": 1.0,
+                            "c_minus": -math.inf},
+                 "'c_minus'", id="states-doc18-'c_minus'"),
+    pytest.param("transform", {"potential": _LAME1, "order": 1, "seed": "bloch", "epsilon": "inf"},
+                 "'epsilon'", id="transform-doc19-'epsilon'"),
+    pytest.param("transform", {"potential": _LAME1, "order": 2,
+                               "seeds": [{"epsilon": -1.0}, {"epsilon": math.nan}]},
+                 "'epsilon'", id="transform-doc20-'epsilon'"),
+    pytest.param("transform", {"potential": _LAME1, "order": 1, "seed": "general", "epsilon": -1.0,
+                               "c_plus": math.inf, "c_minus": 1.0},
+                 "'c_plus'", id="transform-doc21-'c_plus'"),
+    pytest.param("invariance", {"potential": _LAME1, "epsilon": "-inf"},
+                 "'epsilon'", id="invariance-doc22-'epsilon'"),
+    pytest.param("bands", {"potential": _LAME1, "e_min": -math.inf, "e_max": 3.0},
+                 "'e_min'", id="bands-doc23-'e_min'"),
+    pytest.param("bands", {"potential": _LAME1, "e_min": 0.0, "e_max": "nan"},
+                 "'e_max'", id="bands-doc24-'e_max'"),
     # a general seed needs a coefficient that is not 0, in a transform too
-    ("transform", {"potential": _LAME1, "order": 1, "seed": "general", "epsilon": -1.0,
-                   "c_plus": 0, "c_minus": 0}, "'c_plus'"),
-    ("transform", {"potential": _LAME1, "order": 2, "seed": "general",
-                   "seeds": [{"epsilon": -1.0, "c_plus": 1.0, "c_minus": 0.0},
-                             {"epsilon": -0.5, "c_plus": -0.0, "c_minus": 0.0}]}, "'c_minus'"),
+    pytest.param("transform", {"potential": _LAME1, "order": 1, "seed": "general", "epsilon": -1.0,
+                               "c_plus": 0, "c_minus": 0},
+                 "'c_plus'", id="transform-doc25-'c_plus'"),
+    pytest.param("transform", {"potential": _LAME1, "order": 2, "seed": "general",
+                               "seeds": [{"epsilon": -1.0, "c_plus": 1.0, "c_minus": 0.0},
+                                         {"epsilon": -0.5, "c_plus": -0.0, "c_minus": 0.0}]},
+                 "'c_minus'", id="transform-doc26-'c_minus'"),
     # a NaN sample, which JSON's NaN literal lets through, named as the cause
-    ("transform", {"potential": {"kind": "tabulated", "x_lo": 0.0, "dx": 0.0625, "period": 1.0,
-                                 "values": [0.0] * 8 + [math.nan] + [0.0] * 8, "tail": None},
-                   "order": 1, "seed": "bloch", "epsilon": -1.0}, "finite values"),
+    pytest.param("transform", {"potential": {"kind": "tabulated", "x_lo": 0.0, "dx": 0.0625,
+                                             "period": 1.0,
+                                             "values": [0.0] * 8 + [math.nan] + [0.0] * 8,
+                                             "tail": None},
+                               "order": 1, "seed": "bloch", "epsilon": -1.0},
+                 "finite values", id="transform-doc27-finite values"),
 ])
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, doc, field):
     cfg = tmp_path / "cfg.json"
