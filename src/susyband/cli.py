@@ -15,6 +15,7 @@ tolerances are the fixed floquet.DEFAULT_RTOL and floquet.EDGE_TOL.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -26,15 +27,7 @@ import numpy as np
 from . import floquet
 from .analysis import displacement_fit, invariance_test
 from .darboux import susy1, susy2, write_transform_csv
-from .errors import (
-    BandEnergyError,
-    EllipticDomainError,
-    SeedConsistencyError,
-    SingularSeedError,
-    SingularTransformError,
-    StiffIntegrationError,
-    WindowOverflowError,
-)
+from .errors import StiffIntegrationError
 from .potentials import LamePotential, Potential, lame, potential_from_dict
 from .scenarios import SCENARIOS, run_scenario
 from .seeds import bloch_seed, general_seed, nodeless_mixing, write_seed_csv
@@ -44,17 +37,6 @@ __all__ = ["main", "run"]
 
 class ConfigError(ValueError):
     pass
-
-
-_NUMERICAL_ERRORS = (
-    BandEnergyError,
-    EllipticDomainError,
-    SeedConsistencyError,
-    SingularSeedError,
-    SingularTransformError,
-    StiffIntegrationError,
-    WindowOverflowError,
-)
 
 
 def _env_overrides() -> dict:
@@ -172,19 +154,7 @@ def cmd_bands(args, config, opts) -> int:
         raise ConfigError(f"'e_min' must be below 'e_max', got {e_min!r} and {e_max!r}")
     bands = floquet.band_edges(v, e_min, e_max)
     out = _out_dir(args)
-    _write_json(
-        out / "edges.json",
-        _float_tree(
-            {
-                "edges": list(bands.edges),
-                "kinds": list(bands.kinds),
-                "bands": [list(b) for b in bands.bands],
-                "gaps": [list(g) for g in bands.gaps],
-                "touching": list(bands.touching),
-                "window": list(bands.window),
-            }
-        ),
-    )
+    _write_json(out / "edges.json", _float_tree(dataclasses.asdict(bands)))
     sweep = np.linspace(e_min, e_max, args.sweep_points)
     with (out / "discriminant.csv").open("w", newline="\n") as fh:
         floquet.write_discriminant_csv(fh, v, sweep)
@@ -199,10 +169,12 @@ def _transform_from_config(v, config, opts):
         raise ConfigError(f"'order' must be 1 or 2, got {order!r}")
     seed_kind = config.get("seed", "bloch")
 
-    def one_seed(spec):
+    def epsilon(spec):
         if not isinstance(spec, dict):
             raise ConfigError(f"a seed must be a JSON object, got {spec!r}")
-        eps = _float(spec.get("epsilon"), "epsilon")
+        return _float(spec.get("epsilon"), "epsilon")
+
+    def one_seed(spec, eps):
         kind = spec.get("seed", seed_kind)
         if kind == "bloch":
             return bloch_seed(v, eps, **opts)[0]
@@ -214,12 +186,14 @@ def _transform_from_config(v, config, opts):
         raise ConfigError(f"unknown seed kind {kind!r}")
 
     if order == 1:
-        seed = one_seed(config)
-        return susy1(v, seed)
+        return susy1(v, one_seed(config, epsilon(config)))
     specs = config.get("seeds")
     if not isinstance(specs, list) or len(specs) != 2:
         raise ConfigError("order-2 transform config needs a two-element 'seeds' list")
-    return susy2(v, one_seed(specs[0]), one_seed(specs[1]))
+    energies = [epsilon(spec) for spec in specs]
+    if energies[0] == energies[1]:
+        raise ConfigError(f"the seeds' 'epsilon' values must differ, got {energies[0]!r} twice")
+    return susy2(v, *map(one_seed, specs, energies))
 
 
 def cmd_transform(args, config, opts) -> int:
@@ -349,18 +323,11 @@ def run(argv=None) -> int:
     try:
         opts = _env_overrides()
         config = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return args.fn(args, config, opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, StiffIntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -137,35 +137,53 @@ def _asymptotic_period_residual(values, spp):
     return float(max(left, right))
 
 
-def _partner(seed, values, periodic, one_period, diagnostics):
-    """The partner potential as a table, for a transform sampled on seed's window.
+def _tail(seed):
+    """(u, u') on the one-period grid of the fastest-growing branch that seed
+    holds with a nonzero coefficient: a Bloch seed itself, the pointwise
+    limit of a general one at +infinity (no displacement needed)."""
+    return max((b for c, b in seed.branches if c), key=lambda b: b.growth_rate).tiled(0, 1)
 
-    ``one_period(xs, on_period)`` gives the partner on the one-period grid xs
-    from the (u, u') there of the fastest-growing branch that each seed s
-    holds (nonzero coefficient), ``on_period(s)``, read from the branch's
-    samples: a Bloch seed itself, the pointwise limit of a general one at
-    +infinity (no displacement needed).
-    A periodic partner is that one-period table; any other is the window
-    table ``values`` with that tail on both sides, so left of the window it
-    is off by ``tail_mismatch_minus`` (0.99 on fig3a, 2.03 on fig3d).  The
+
+def _result(v, seeds, values, intertwiner, gamma, kernel, one_period, diagnostics):
+    """The transform of v from seeds, with the partner as a table.
+
+    The partner is periodic iff every seed is a Bloch seed.  ``one_period(xs)``
+    gives it on the one-period grid xs from the seeds' ``_tail``s.  A periodic
+    partner is that one-period table; any other is the window table
+    ``values`` with that tail on both sides, so left of the window it is off
+    by ``tail_mismatch_minus`` (0.99 on fig3a, 2.03 on fig3d).  The
     asymptotic-period residual of ``values`` and the closure or tail
     mismatches go into ``diagnostics``.
     """
+    seed = seeds[0]
+    x = seed.x
     period = seed.period
     spp = seed.samples_per_period
+    periodic = all(s.kind != KIND_GENERAL for s in seeds)
     diagnostics["asymptotic_period_residual"] = _asymptotic_period_residual(values, spp)
-    xs = np.linspace(0.0, period, spp + 1)
-    vals = one_period(
-        xs, lambda s: max((b for c, b in s.branches if c), key=lambda b: b.growth_rate).tiled(0, 1)
-    )
-    table = TabulatedPotential(0.0, period / spp, vals, period)
+    vals = one_period(np.linspace(0.0, period, spp + 1))
+    partner = table = TabulatedPotential(0.0, period / spp, vals, period)
     if periodic:
         diagnostics["periodic_closure_mismatch"] = float(abs(vals[-1] - vals[0]))
-        return table
-    x = seed.x
-    diagnostics["tail_mismatch_plus"] = float(np.max(np.abs(values[-spp:] - table(x[-spp:]))))
-    diagnostics["tail_mismatch_minus"] = float(np.max(np.abs(values[:spp] - table(x[:spp]))))
-    return TabulatedPotential(x[0], (x[-1] - x[0]) / (x.size - 1), values, period, tail=table)
+    else:
+        diagnostics["tail_mismatch_plus"] = float(np.max(np.abs(values[-spp:] - table(x[-spp:]))))
+        diagnostics["tail_mismatch_minus"] = float(np.max(np.abs(values[:spp] - table(x[:spp]))))
+        partner = TabulatedPotential(x[0], (x[-1] - x[0]) / (x.size - 1), values, period,
+                                     tail=table)
+    return TransformResult(
+        order=len(seeds),
+        initial=v,
+        partner=partner,
+        x=x,
+        v_values=seed.v_values,
+        partner_values=values,
+        intertwiner=intertwiner,
+        gamma=gamma,
+        kernel=kernel,
+        seeds=tuple(seeds),
+        periodic=periodic,
+        diagnostics=diagnostics,
+    )
 
 
 def _check_riccati(seed: SeedSolution):
@@ -192,38 +210,21 @@ def susy1(v: Potential, seed: SeedSolution) -> TransformResult:
         )
     _check_riccati(seed)
 
-    x = seed.x
     eps = seed.epsilon
-    v_values = seed.v_values
     alpha = seed.u_prime / seed.u
-    partner_values = 2.0 * eps - v_values + 2.0 * alpha * alpha
+    partner_values = 2.0 * eps - seed.v_values + 2.0 * alpha * alpha
 
-    def one_period(xs, on_period):
-        u, up = on_period(seed)
+    def one_period(xs):
+        u, up = _tail(seed)
         a = up / u
         return 2.0 * eps - np.asarray(v(xs), dtype=float) + 2.0 * a * a
 
-    periodic = seed.kind != KIND_GENERAL
     diagnostics = {
         "min_abs_u": float(np.min(np.abs(seed.u))),
         "riccati_residual": seed.riccati_residual,
     }
-    partner = _partner(seed, partner_values, periodic, one_period, diagnostics)
     kernel = _kernel_state(seed, 1.0 / seed.u, eps, (0.0, 0.0), seed.growth_exponents)
-    return TransformResult(
-        order=1,
-        initial=v,
-        partner=partner,
-        x=x,
-        v_values=v_values,
-        partner_values=partner_values,
-        intertwiner=alpha,
-        gamma=None,
-        kernel=(kernel,),
-        seeds=(seed,),
-        periodic=periodic,
-        diagnostics=diagnostics,
-    )
+    return _result(v, (seed,), partner_values, alpha, None, (kernel,), one_period, diagnostics)
 
 
 def _wronskian(u1, up1, u2, up2, de):
@@ -296,12 +297,9 @@ def susy2(v: Potential, seed1: SeedSolution, seed2: SeedSolution) -> TransformRe
         "beta_consistency_residual": beta_consistency,
     }
 
-    def one_period(xs, on_period):
-        _, bp = _wronskian(*on_period(seed1), *on_period(seed2), de)
+    def one_period(xs):
+        _, bp = _wronskian(*_tail(seed1), *_tail(seed2), de)
         return np.asarray(v(xs), dtype=float) + 2.0 * bp
-
-    periodic = seed1.kind != KIND_GENERAL and seed2.kind != KIND_GENERAL
-    partner = _partner(seed1, partner_values, periodic, one_period, diagnostics)
 
     # W is bilinear in the branches, so its dominant growth toward each end
     # is the sum of the seeds' dominant growths there
@@ -312,20 +310,8 @@ def susy2(v: Potential, seed1: SeedSolution, seed2: SeedSolution) -> TransformRe
         _kernel_state(seed1, seed2.u / w, seed1.epsilon, seed2.growth_exponents, w_exponents),
         _kernel_state(seed1, seed1.u / w, seed2.epsilon, seed1.growth_exponents, w_exponents),
     )
-    return TransformResult(
-        order=2,
-        initial=v,
-        partner=partner,
-        x=x,
-        v_values=v_values,
-        partner_values=partner_values,
-        intertwiner=beta,
-        gamma=gamma,
-        kernel=kernel,
-        seeds=(seed1, seed2),
-        periodic=periodic,
-        diagnostics=diagnostics,
-    )
+    return _result(v, (seed1, seed2), partner_values, beta, gamma, kernel, one_period,
+                   diagnostics)
 
 
 def factorization_residual(v: Potential, result: TransformResult) -> float:
@@ -343,42 +329,30 @@ def factorization_residual(v: Potential, result: TransformResult) -> float:
     h = x[1] - x[0]
     fs = [np.exp(-(((x - c) / (0.1 * (x[-1] - x[0]))) ** 2)) for c in (0.0, 0.35 * x[-1])]
     interior = slice(8, -8)
-    worst = 0.0
     v_vals = result.v_values
     vt_vals = result.partner_values
-    if result.order == 1:
-        alpha = result.intertwiner
-        eps = result.seeds[0].epsilon
-        for f in fs:
-            norm = np.max(np.abs(f))
-            bdag_f = -derivative(f, h) + alpha * f
-            bbdag_f = derivative(bdag_f, h) + alpha * bdag_f
-            r1 = (bbdag_f + eps * f) - (-second_derivative(f, h) + v_vals * f)
-            b_f = derivative(f, h) + alpha * f
-            bdagb_f = -derivative(b_f, h) + alpha * b_f
-            r2 = (bdagb_f + eps * f) - (-second_derivative(f, h) + vt_vals * f)
-            worst = max(
-                worst,
-                float(np.max(np.abs(r1[interior]))) / norm,
-                float(np.max(np.abs(r2[interior]))) / norm,
-            )
-        return worst
-    beta = result.intertwiner
+    a = result.intertwiner  # alpha (order 1) or beta (order 2)
     gamma = result.gamma
     beta_prime = 0.5 * (vt_vals - v_vals)
     e1 = result.seeds[0].epsilon
-    e2 = result.seeds[1].epsilon
+    e2 = result.seeds[-1].epsilon
+    worst = 0.0
     for f in fs:
+        if result.order == 1:
+            bdag_f = -derivative(f, h) + a * f
+            bbdag_f = derivative(bdag_f, h) + a * bdag_f
+            b_f = derivative(f, h) + a * f
+            bdagb_f = -derivative(b_f, h) + a * b_f
+            rs = ((bbdag_f + e1 * f) - (-second_derivative(f, h) + v_vals * f),
+                  (bdagb_f + e1 * f) - (-second_derivative(f, h) + vt_vals * f))
+        else:
+            # B = (B^dag)^adjoint = d^2 - beta d + (gamma - beta')
+            b_f = second_derivative(f, h) - a * derivative(f, h) + (gamma - beta_prime) * f
+            bdagb_f = second_derivative(b_f, h) + a * derivative(b_f, h) + gamma * b_f
+            g = -second_derivative(f, h) + (vt_vals - e2) * f
+            rs = (bdagb_f - (-second_derivative(g, h) + (vt_vals - e1) * g),)
         norm = np.max(np.abs(f))
-        # B = (B^dag)^adjoint = d^2 - beta d + (gamma - beta')
-        b_f = second_derivative(f, h) - beta * derivative(f, h) + (gamma - beta_prime) * f
-        bdagb_f = (
-            second_derivative(b_f, h) + beta * derivative(b_f, h) + gamma * b_f
-        )
-        g = -second_derivative(f, h) + (vt_vals - e2) * f
-        target = -second_derivative(g, h) + (vt_vals - e1) * g
-        r = bdagb_f - target
-        worst = max(worst, float(np.max(np.abs(r[interior]))) / norm)
+        worst = max(worst, *(float(np.max(np.abs(r[interior]))) / norm for r in rs))
     return worst
 
 

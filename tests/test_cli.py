@@ -216,12 +216,17 @@ _LAME1 = {"kind": "lame", "n": 1, "m": 0.5}
                                              "tail": None},
                                "order": 1, "seed": "bloch", "epsilon": -1.0},
                  "finite values", id="transform-doc27-finite values"),
+    # a confluent pair is refused before either seed is built
+    pytest.param("transform", {"potential": {"kind": "lame", "n": 2, "m": 0.5}, "order": 2,
+                               "seeds": [{"epsilon": 1.6}, {"epsilon": 1.6}]},
+                 "'epsilon'", id="transform-equal-epsilon"),
 ])
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, doc, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
 
 
 @pytest.mark.parametrize("command, flags, field", [
@@ -241,11 +246,13 @@ def test_missing_potential_exit_2(tmp_path):
     assert run(["invariance", "--epsilon", "1.0", "--out", str(tmp_path)]) == 2
 
 
-def test_midband_energy_exit_3(tmp_path):
+def test_midband_energy_exit_3(tmp_path, capsys):
     assert (
         run(["invariance", "--lame-n", "1", "--epsilon", "0.75", "--out", str(tmp_path)])
         == 3
     )
+    # every exit-3 cause, BandEnergyError included, prints one prefix
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -325,6 +325,39 @@ def test_partner_tail_evaluation(scenario_cache):
     assert partner(far) == pytest.approx(partner.tail(far), abs=1e-12)
 
 
+@pytest.mark.parametrize("c, branch", [((0.6, 0.8), 0), ((0.0, 1.0), 1)],
+                         ids=["both-branches", "decaying-only"])
+def test_general_tail_is_its_dominant_branch_partner(c, branch):
+    # sample for sample: the tail of a general partner is the periodic
+    # partner of the fastest-growing branch its seed holds
+    tail = susy1(LAME2, general_seed(LAME2, -0.5, *c)).partner.tail
+    periodic = susy1(LAME2, bloch_seed(LAME2, -0.5)[branch])
+    assert periodic.periodic
+    assert np.array_equal(tail.values, periodic.partner.values)
+
+
+@pytest.mark.parametrize("name", ["fig3c", "fig3d"])
+def test_general_pair_tail_is_the_growing_pair_partner(scenario_cache, name):
+    run = scenario_cache(name)
+    growing = [bloch_seed(run.potential, seed.epsilon)[0] for seed in run.result.seeds]
+    periodic = susy2(run.potential, *growing)
+    assert periodic.periodic
+    assert np.array_equal(run.result.partner.tail.values, periodic.partner.values)
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+def test_one_general_seed_makes_a_tailed_pair_partner(scenario_cache, branch):
+    # the partner is periodic only when every seed is a Bloch seed; a Bloch
+    # seed's tail branch is the seed itself
+    run = scenario_cache("fig3c")
+    v, (seed1, seed2) = run.potential, run.result.seeds
+    bloch1 = bloch_seed(v, seed1.epsilon)[branch]
+    mixed = susy2(v, bloch1, seed2)
+    assert not mixed.periodic
+    periodic = susy2(v, bloch1, bloch_seed(v, seed2.epsilon)[0])
+    assert np.array_equal(mixed.partner.tail.values, periodic.partner.values)
+
+
 def _brute_force_expected_rates(s1, s2):
     """expected_decay_rate of both order-2 kernel states from the dominant
     growth of W over every pair of active branches, one pair at a time."""
