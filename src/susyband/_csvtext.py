@@ -13,6 +13,11 @@ padded with NUL bytes that `bytes.translate` drops:
              the decimal point moved in after digit X (fixed) or 0 (exponent)
     word 3   "e+XX" or "e-XXX" in exponent form; the separator in byte 7
 
+An empty field is its separator alone.  A mask with one flag per column drops
+up to two empty last columns before the numeric passes, and a mask with no
+flag set is no mask; the separators of the dropped columns end the row in the
+free bytes 5-6 of the last field's word 3.
+
 Every value whose rounding is in doubt goes through `%` itself, which rounds
 correctly (Steele & White, PLDI 1990; Gay, 1990): zero, inf, nan, |v|
 outside [1e-290, 1e290], and every scaled value whose fraction lies within
@@ -82,8 +87,11 @@ def _exponent_tables():
 
 
 _SCALE, _POINT, _LEAST, _HEAD, _TAIL = _exponent_tables()
-# word 3 of a field with no exponent, and the XOR that ends a row instead
-_COMMA, _NEWLINE = (np.uint64(c << 56) for c in (ord(","), ord(",") ^ ord("\n")))
+# word 3 of a field with no exponent, and the XOR that ends a row instead, after
+# 0, 1 or 2 empty fields, whose separators go in the free bytes 6 and 5
+_COMMA = np.uint64(ord(",") << 56)
+_ENDS = [np.uint64(int.from_bytes(bytes(7 - t) + b"," * t + bytes([ord(",") ^ ord("\n")]), "little"))
+         for t in range(3)]
 
 
 def _digit_masks():
@@ -109,7 +117,14 @@ _MASKS = _digit_masks()
 def format_rows(block, blank=None) -> str:
     """`"%.12g"` of every field of the 2-D float `block`, rows joined by ',' and
     ended by newlines; a field where `blank`, a bool array broadcast to the
-    block's shape, is set stays empty."""
+    block's shape, is set stays empty; with one flag per column, up to two
+    empty last columns skip the numeric passes."""
+    end = 0
+    if blank is not None and np.shape(blank) == block.shape[1:]:
+        while end < 2 and len(blank) > 1 and blank[-1]:
+            block, blank, end = block[:, :-1], blank[:-1], end + 1
+        if not np.any(blank):
+            blank = None
     rows, cols = block.shape
     v = block.ravel()
     a = np.abs(v)
@@ -181,7 +196,7 @@ def format_rows(block, blank=None) -> str:
             slow = slow[~blank[slow]]
         text = b"".join(("%.12g" % value).encode().ljust(24, b"\0") for value in v[slow].tolist())
         words[slow, :3] = np.frombuffer(text, dtype=np.uint64).reshape(-1, 3)
-    words.reshape(rows, cols, 4)[:, -1, 3] ^= _NEWLINE
+    words.reshape(rows, cols, 4)[:, -1, 3] ^= _ENDS[end]
     return words.tobytes().translate(None, b"\0").decode()
 
 

@@ -46,8 +46,10 @@ _FIT_ITERS = 60
 _BOUND_STRIDE = 32
 _FIT_FIRST = 8
 _FIT_ACTIVE = 8
-#: bound on both invariance residuals (displacement and product variation)
+#: bound on both invariance residuals (displacement and product variation); periods of
+#: the seed window when the caller sets none: [-T, T], the shortest its gates are defined on
 _INVARIANCE_TOL = 1e-4
+_INVARIANCE_PERIODS = 2
 #: shooting: integrator rtol, energies of the first scan, width of the final bracket;
 #: the scan's rtol, and its margin: a scan energy of |mismatch| up to it or of far-field
 #: |D| up to 2 plus it is evaluated again at _SHOOTING_RTOL
@@ -234,8 +236,14 @@ def invariance_test(v: Potential, epsilon: float, **seed_kwargs) -> InvarianceRe
     meaningful one.  At energies inside a finite gap the Bloch solutions
     carry nodes, the transform is singular, and the product necessarily
     touches zero, so the verdict there is not-invariant by construction.
+
+    Every field of the report is a one-period quantity: the partner is the
+    one-period table of the seed's branch, the fit and the product run on one
+    period, and a Bloch seed's nodes are counted on [0, T).  So the seed
+    window is [-T, T] unless ``periods`` is given; the report does not
+    depend on it.
     """
-    grow, branch_d = _growing_seed(v, epsilon, **seed_kwargs)
+    grow, branch_d = _growing_seed(v, epsilon, **{"periods": _INVARIANCE_PERIODS, **seed_kwargs})
     period = float(v.period)
     branch_g = grow.branches[0][1]
 

@@ -352,7 +352,7 @@ def factorization_residual(v: Potential, result: TransformResult) -> float:
             g = -second_derivative(f, h) + (vt_vals - e2) * f
             rs = (bdagb_f - (-second_derivative(g, h) + (vt_vals - e1) * g),)
         norm = np.max(np.abs(f))
-        worst = max(worst, *(float(np.max(np.abs(r[interior]))) / norm for r in rs))
+        worst = max(worst, *(float(np.max(np.abs(r[interior])) / norm) for r in rs))
     return worst
 
 

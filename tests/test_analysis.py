@@ -37,6 +37,7 @@ from susyband.potentials import (
     lame,
 )
 from susyband.seeds import bloch_seed, general_seed, nodeless_mixing
+from test_floquet import lame_edges_closed_form
 
 LAME1 = lame(1, 0.5)
 LAME2 = lame(2, 0.5)
@@ -328,6 +329,55 @@ def test_invariance_assembles_one_seed(monkeypatch, n, epsilon, fields):
     assert (report.delta, report.residual_displacement, report.residual_product,
             report.invariant) == reference
     assert (report.invariant, math.isfinite(report.residual_displacement)) == fields
+
+
+class _Windows(Potential):
+    """base, recording the number of points of every call that spans more
+    than one period: a seed window."""
+
+    def __init__(self, base):
+        self.base, self.period, self.even, self.windows = base, base.period, base.even, []
+
+    def __call__(self, x):
+        if np.ptp(x) > self.period:
+            self.windows.append(np.size(x))
+        return self.base(x)
+
+
+@pytest.mark.parametrize("n, epsilon", [(1, -1.0), (2, 1.6)])
+def test_invariance_seed_on_two_periods(n, epsilon):
+    # by default V is evaluated on one window, [-T, T] at 2048 samples per
+    # period; a caller's periods still sets it
+    v = _Windows(lame(n, 0.5))
+    invariance_test(v, epsilon)
+    assert v.windows == [2 * 2048 + 1]
+    v = _Windows(lame(n, 0.5))
+    invariance_test(v, epsilon, periods=16)
+    assert v.windows == [16 * 2048 + 1]
+
+
+def _invariance_outcome(v, epsilon, **seed_kwargs):
+    try:
+        return invariance_test(v, epsilon, **seed_kwargs).to_dict()
+    except (ValueError, RuntimeError) as exc:  # every library error is one of these
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.floats(0.05, 0.95), st.sampled_from(["below", "gap", "edge"]),
+       st.floats(0.0, 1.0))
+def test_invariance_report_is_window_free(n, m, where, frac):
+    # the report on the default two-period window is the one on 16 periods:
+    # below the spectrum, inside the first gap, and 1e-8 to 1e-2 below the
+    # lowest edge
+    edges = lame_edges_closed_form(n, m)
+    epsilon = {
+        "below": edges[0] - 0.01 - 2.0 * frac,
+        "gap": edges[1] + (0.05 + 0.9 * frac) * (edges[2] - edges[1]),
+        "edge": edges[0] - 10.0 ** (-8.0 + 6.0 * frac),
+    }[where]
+    v = lame(n, m)
+    assert _invariance_outcome(v, epsilon) == _invariance_outcome(v, epsilon, periods=16)
 
 
 def test_invariance_report_schema():

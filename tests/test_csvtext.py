@@ -86,3 +86,16 @@ def test_blank_fields_and_block_unchanged():
     assert format_rows(block, np.array([False, False, True])) == "1.5,nan,\n0,3,\n"
     assert np.array_equal(block, before, equal_nan=True)
 
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("flags", [
+    "eeeeee", "e", "n", "nnnnnn", "ennnnn", "eennnn", "nnenen", "nneenn",
+    "nnnnne", "nnnnee", "nnneee", "ennnee", "eneeee",
+])
+def test_per_column_masks(rows, flags):
+    # one flag per column ('e' empty, 'n' a number): leading, middle and 1 to 3
+    # trailing empty columns, every column empty, and no column empty (an
+    # all-False mask), on the planted values cycled through the block
+    blank = np.array([f == "e" for f in flags])
+    block = np.resize(PLANTED, (rows, len(flags)))
+    assert format_rows(block, blank) == _reference(block, blank)

@@ -210,6 +210,13 @@ def test_factorization_residual_order2(scenario_cache):
     assert factorization_residual(run.potential, run.result) < 1e-5
 
 
+@pytest.mark.parametrize("name", ["fig1a", "fig2c"])
+def test_factorization_residual_is_float(scenario_cache, name):
+    # a Python float, as annotated, on an order-1 and an order-2 preset
+    run = scenario_cache(name)
+    assert type(factorization_residual(run.potential, run.result)) is float
+
+
 def test_intertwiner_order1(scenario_cache):
     run = scenario_cache("fig1a")
     edge1 = run.band_structure.edges[1]
