@@ -37,12 +37,13 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: displacement_fit: samples per period, samples between coarse offsets, golden-section
-#: steps; samples between the points of an offset's lower bound, offsets scored first;
-#: samples that join the active set at a time (from each seeding offset, then from
-#: each confirmation that finds a larger sample outside it)
+#: steps and the steps one call scores ahead; samples between the points of an offset's
+#: lower bound, offsets scored first; samples that join the active set at a time (from
+#: each seeding offset, then from each confirmation that finds a larger sample outside it)
 _FIT_SAMPLES = 2048
 _FIT_STRIDE = 2
 _FIT_ITERS = 60
+_GOLDEN_DEPTH = 3
 _BOUND_STRIDE = 32
 _FIT_FIRST = 8
 _FIT_ACTIVE = 8
@@ -115,22 +116,44 @@ def _best_offset(v_values, w_values):
     return int(candidates[np.argmin(scores)]), first.size + candidates.size
 
 
+def _golden_step(a, b, c, d, left):
+    """The golden-section step that keeps [a, d] (left) or [c, b] of the
+    bracket [a, b] with interior points c < d: the new (a, b, c, d)."""
+    if left:
+        b, d = d, c
+        return a, b, b - _GOLDEN * (b - a), d
+    a, c = c, d
+    return a, b, c, a + _GOLDEN * (b - a)
+
+
+def _golden_points(state, scores):
+    """The first 2**_GOLDEN_DEPTH - 1 of: the unscored interior points of state,
+    then the point each next step makes, breadth first over both branches."""
+    points, level = [p for p in state[2:] if p not in scores], [state]
+    while len(points) < 2**_GOLDEN_DEPTH - 1:
+        level = [_golden_step(*s, left) for s in level for left in (True, False)]
+        # the steps alternate left and right; a left step makes c, a right one d
+        points += [s[2 + k % 2] for k, s in enumerate(level)]
+    return points[: 2**_GOLDEN_DEPTH - 1]
+
+
 def _golden_section(f, a, b):
-    """Midpoint of [a, b] after golden-section steps on f: _FIT_ITERS of them,
-    or fewer once the bracket is narrower than 1e-12."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    f_c = f(c)
-    f_d = f(d)
+    """Midpoint of [a, b] after golden-section steps: _FIT_ITERS of them, or
+    fewer once the bracket is narrower than 1e-12.
+
+    f scores an array of points.  A step that needs an unscored point calls
+    f once on ``_golden_points``: at the start c, d and five of the six
+    points the first two steps can make, after that the point the last step
+    made and the six the next two can make.  So one call decides three
+    steps, and the result is bit for bit that of one point per call.
+    """
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    scores = {}
     for _ in range(_FIT_ITERS):
-        if f_c <= f_d:
-            b, d, f_d = d, c, f_c
-            c = b - _GOLDEN * (b - a)
-            f_c = f(c)
-        else:
-            a, c, f_c = c, d, f_d
-            d = a + _GOLDEN * (b - a)
-            f_d = f(d)
+        if c not in scores or d not in scores:
+            points = _golden_points((a, b, c, d), scores)
+            scores.update(zip(points, f(np.array(points)).tolist()))
+        a, b, c, d = _golden_step(a, b, c, d, scores[c] <= scores[d])
         if b - a < 1e-12:
             break
     return 0.5 * (a + b)
@@ -170,9 +193,12 @@ def displacement_fit(v: Potential, w: Potential) -> tuple[float, float]:
     step = _FIT_STRIDE * period / _FIT_SAMPLES
     while True:
         xs_s, w_s = xs[active], w_values[active]
-        delta = _golden_section(
-            lambda d: float(np.max(np.abs(np.asarray(v(xs_s + d), dtype=float) - w_s))),
-            best - step, best + step)
+
+        def score(deltas):
+            values = np.asarray(v((deltas[:, None] + xs_s).ravel()), dtype=float)
+            return np.max(np.abs(values.reshape(deltas.size, -1) - w_s), axis=1)
+
+        delta = _golden_section(score, best - step, best + step)
         errors = np.abs(np.asarray(v(xs + delta), dtype=float) - w_values)
         if not (errors > np.max(errors[active])).any():
             return float(delta % period), float(np.max(errors))

@@ -30,7 +30,7 @@ from .darboux import susy1, susy2, write_transform_csv
 from .errors import StiffIntegrationError
 from .potentials import LamePotential, Potential, lame, potential_from_dict
 from .scenarios import SCENARIOS, run_scenario
-from .seeds import bloch_seed, general_seed, nodeless_mixing, write_seed_csv
+from .seeds import _growing_seed, bloch_seed, general_seed, nodeless_mixing, write_seed_csv
 
 __all__ = ["main", "run"]
 
@@ -177,7 +177,7 @@ def _transform_from_config(v, config, opts):
     def one_seed(spec, eps):
         kind = spec.get("seed", seed_kind)
         if kind == "bloch":
-            return bloch_seed(v, eps, **opts)[0]
+            return _growing_seed(v, eps, **opts)[0]
         if kind == "general":
             if "c_plus" in spec:
                 return general_seed(v, eps, *_mixing(spec["c_plus"], spec.get("c_minus")), **opts)

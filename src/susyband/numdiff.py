@@ -95,6 +95,37 @@ def sign_changes(a) -> np.ndarray:
     return (neg[..., :-1] & pos[..., 1:]) | (pos[..., :-1] & neg[..., 1:])
 
 
+def _itp(f, a, b, f_a, f_b, width, kappa1):
+    """``itp_root`` on the brackets [a_k, b_k] (arrays) in lockstep, each with
+    the arithmetic of the one-bracket loop: a round calls f once, on the
+    points of the brackets still open.  f rises through each root where
+    f_b >= 0, and falls where f_b < 0 (so -f is used there).  Returns the
+    midpoints of the final brackets."""
+    a, b, f_a, f_b = (np.array(z, dtype=float) for z in (a, b, f_a, f_b))
+    s = np.where(f_b < 0.0, -1.0, 1.0)  # s f rises through each root
+    f_a, f_b = s * f_a, s * f_b
+    n_max = np.array([max(0, math.ceil(math.log2(max(w, width) / width))) + 1
+                      for w in (b - a).tolist()], dtype=int)
+    for j in range(n_max.max(initial=0)):
+        k = np.flatnonzero((j < n_max) & (b - a > width))
+        if k.size == 0:
+            break
+        ak, bk, f_ak, f_bk = a[k], b[k], f_a[k], f_b[k]
+        mid = 0.5 * (ak + bk)
+        x_f = (f_bk * ak - f_ak * bk) / (f_bk - f_ak)
+        sigma = np.copysign(1.0, mid - x_f)
+        # squared by Python's pow, as in the loop: a product rounds differently at times
+        delta = np.maximum(kappa1 * np.array([w**2 for w in (bk - ak).tolist()]), 0.5 * width)
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        r = np.ldexp(0.5 * width, n_max[k] - j) - 0.5 * (bk - ak)
+        x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
+        y = s[k] * f(x)
+        low = y < 0.0
+        a[k], f_a[k] = np.where(low, x, ak), np.where(low, y, f_ak)
+        b[k], f_b[k] = np.where(low, bk, x), np.where(low, f_bk, y)
+    return 0.5 * (a + b)
+
+
 def itp_root(f, a, b, f_a, f_b, width, kappa1):
     """Root of f on [a, b], f_a = f(a) <= 0 <= f_b = f(b), by ITP (Oliveira &
     Takahashi, ACM TOMS 47 (2021) 5; kappa2 = 2, n0 = 1): each step evaluates
@@ -103,19 +134,8 @@ def itp_root(f, a, b, f_a, f_b, width, kappa1):
     Brent's smallest step, outlasts rounding) and projected into a ball about
     the midpoint that shrinks like bisection's bracket.  Superlinear on a
     smooth f, at most one step more than bisection on any f; returns the
-    midpoint once the bracket is no wider than ``width``.
+    midpoint once the bracket is no wider than ``width``.  ``_itp`` on one
+    bracket; f is called with a float.
     """
-    n_max = max(0, math.ceil(math.log2(max(b - a, width) / width))) + 1
-    for j in range(n_max):
-        if b - a <= width:
-            break
-        mid = 0.5 * (a + b)
-        x_f = (f_b * a - f_a * b) / (f_b - f_a)
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = max(kappa1 * (b - a) ** 2, 0.5 * width)
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        r = 0.5 * width * 2.0 ** (n_max - j) - 0.5 * (b - a)
-        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
-        y = f(x)
-        a, f_a, b, f_b = (x, y, b, f_b) if y < 0.0 else (a, f_a, x, y)
-    return 0.5 * (a + b)
+    return float(_itp(lambda x: np.array([f(float(x[0]))], dtype=float),
+                      [a], [b], [f_a], [f_b], width, kappa1)[0])

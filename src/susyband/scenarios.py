@@ -22,6 +22,7 @@ from .potentials import DEFAULT_SAMPLES_PER_PERIOD, LamePotential, lame
 from .seeds import (
     DEFAULT_PERIODS,
     SeedSolution,
+    _growing_seed,
     bloch_branches,
     bloch_seed,
     general_seed,
@@ -229,10 +230,10 @@ def run_scenario(
 
     if sc.mode == MODE_EDGE:
         energies = [bands.edges[i] for i in sc.edge_indices]
-        chosen = [bloch_seed(v, e, **kwargs)[0] for e in energies]
+        chosen = [_growing_seed(v, e, **kwargs)[0] for e in energies]
     elif sc.mode == MODE_BLOCH:
         if sc.order == 1:
-            chosen = [bloch_seed(v, sc.energies[0], **kwargs)[0]]
+            chosen = [_growing_seed(v, sc.energies[0], **kwargs)[0]]
         else:
             chosen = list(_best_bloch_pair(v, *sc.energies, **kwargs))
     else:

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import floquet
 from .errors import BandEnergyError, SingularSeedError, WindowOverflowError
-from .numdiff import (BOUNDARY_CELLS, CubicHermite, derivative, itp_root, local_max,
-                      sign_changes)
+from .numdiff import BOUNDARY_CELLS, CubicHermite, _itp, derivative, local_max, sign_changes
 from .potentials import DEFAULT_SAMPLES_PER_PERIOD, Potential
 
 __all__ = [
@@ -235,20 +234,17 @@ def bloch_branches(
 
 
 def _count_nodes(x, u, samples_per_period, evaluate):
-    """Sign-change nodes refined by ``itp_root`` to 1e-12, plus grazing
-    near-zeros, as floats.
+    """Sign-change nodes, refined to 1e-12 by ITP on all sample intervals at
+    once (``numdiff._itp``: one ``evaluate`` call on an array per round, about
+    5 rounds), plus grazing near-zeros, as floats.
 
     The zero threshold is local (per period cell), since a seed can span
     fifteen orders of magnitude across the window.
     """
     local_scale = local_max(np.abs(u), samples_per_period)
-    kappa1 = 0.2 / float(x[-1] - x[0])
-    nodes = []
-    for i in np.nonzero(sign_changes(u))[0]:
-        a, b, u_a, u_b = float(x[i]), float(x[i + 1]), float(u[i]), float(u[i + 1])
-        s = math.copysign(1.0, u_b)  # s u rises through the node
-        nodes.append(itp_root(lambda t: s * float(evaluate(t)[0]), a, b,
-                              s * u_a, s * u_b, 1e-12, kappa1))
+    i = np.nonzero(sign_changes(u))[0]
+    nodes = _itp(lambda t: evaluate(t)[0], x[i], x[i + 1], u[i], u[i + 1],
+                 1e-12, 0.2 / float(x[-1] - x[0])).tolist()
     nodes.extend(x[:-1][u[:-1] == 0.0].tolist())
     grazing = x[(np.abs(u) < 1e-12 * local_scale) & (u != 0.0)]
     return sorted(nodes), tuple(grazing.tolist())

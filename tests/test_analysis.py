@@ -10,6 +10,7 @@ from scipy import special
 
 from susyband import floquet
 from susyband.analysis import (
+    _FIT_ITERS,
     _INVARIANCE_TOL,
     _SCAN_MARGIN,
     _SCAN_RTOL,
@@ -17,6 +18,7 @@ from susyband.analysis import (
     _SHOOTING_SCAN,
     _SHOOTING_WIDTH,
     _best_offset,
+    _golden_section,
     _product_variation,
     bound_states_in_gaps,
     compare_band_structure,
@@ -248,6 +250,76 @@ def test_active_set_grows_to_a_planted_spike(spike):
     # the passes score growing active sets
     assert sorted(set(counting.sizes)) == list(dict.fromkeys(counting.sizes))
     assert len(set(counting.sizes)) == counting.full - 1 >= 2
+
+
+def _sequential_golden(f, a, b):
+    """Golden section one score at a time, as displacement_fit's refinement was."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    f_c, f_d = f(c), f(d)
+    for _ in range(_FIT_ITERS):
+        if f_c <= f_d:
+            b, d, f_d = d, c, f_c
+            c = b - golden * (b - a)
+            f_c = f(c)
+        else:
+            a, c, f_c = c, d, f_d
+            d = a + golden * (b - a)
+            f_d = f(d)
+        if b - a < 1e-12:
+            break
+    return 0.5 * (a + b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.floats(-1.0, 1.0), st.floats(-14.0, 0.0),
+       st.lists(st.tuples(st.floats(-0.2, 1.2), st.sampled_from([0.0, 1e-3, 1.0, 1e3])),
+                min_size=1, max_size=4),
+       st.sampled_from([0.0, 1e-9, 0.3]), st.floats(-1.0, 1.0))
+def test_golden_section_is_the_sequential_one(a, log_width, kinks, flat, level):
+    # f(d) = max(max_k |s_k (d - d_k)|, flat) + level: kinks inside and outside
+    # the bracket, flat stretches (s_k = 0, or the floor) where scores tie, and
+    # brackets of 1e-14 to 1: the points scored several at a time replay the
+    # one-at-a-time steps, bit for bit
+    b = a + 10.0**log_width
+    where = np.array([a + t * (b - a) for t, _ in kinks])
+    slopes = np.array([s for _, s in kinks])
+
+    def scores(d):
+        return np.maximum(np.max(np.abs(slopes * (d[:, None] - where)), axis=1), flat) + level
+
+    calls = []
+
+    def counting(d):
+        calls.append(d.size)
+        return scores(d)
+
+    found = _golden_section(counting, a, b)
+    assert found == _sequential_golden(lambda d: float(scores(np.array([d]))[0]), a, b)
+    assert set(calls) == {7}
+
+
+class _Calls(Potential):
+    """base, recording the number of points of each call in order."""
+
+    def __init__(self, base):
+        self.base, self.period, self.sizes = base, base.period, []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.base(x)
+
+
+def test_golden_pass_calls_v_a_few_times():
+    # one call per golden-section step took 51; between two evaluations on
+    # every sample of the period, a pass now takes at most 21
+    v = _Calls(LAME1)
+    w = susy1(LAME1, bloch_seed(LAME1, -1.0)[0]).partner
+    assert displacement_fit(v, w) == displacement_fit(LAME1, w)
+    full = [i for i, size in enumerate(v.sizes) if size == 2048]
+    assert full[0] == 0 and full[-1] == len(v.sizes) - 1
+    calls = np.diff(full) - 1  # per pass, between its seeding scan or confirmation and the next
+    assert len(calls) >= 1 and np.all((1 <= calls) & (calls <= 21)), calls
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -1,11 +1,18 @@
+import dataclasses
+import io
 import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from susyband.cli import run
+from susyband.darboux import susy1, susy2, write_transform_csv
 from susyband.elliptic import complete_k
+from susyband.potentials import lame
+from susyband.scenarios import run_scenario
+from susyband.seeds import bloch_seed
 
 
 def read(path):
@@ -101,6 +108,43 @@ def test_transform_tail_from_seeded_branch(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert diag["tail_mismatch_plus"] < 1e-8
     assert diag["tail_mismatch_minus"] < 1e-8
+
+
+@pytest.mark.parametrize("energies", [(0.4,), (1.6, 2.9)])
+def test_bloch_config_is_the_growing_seed(tmp_path, energies):
+    # the CLI builds the growing seed alone; its table is the one from the
+    # first of bloch_seed's pair
+    doc = {"potential": {"kind": "lame", "n": 2, "m": 0.5}, "seed": "bloch"}
+    if len(energies) == 1:
+        doc.update(order=1, epsilon=energies[0])
+    else:
+        doc.update(order=2, seeds=[{"epsilon": e} for e in energies])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["transform", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    v = lame(2, 0.5)
+    chosen = [bloch_seed(v, e)[0] for e in energies]
+    stream = io.StringIO()
+    write_transform_csv(stream, susy1(v, *chosen) if len(chosen) == 1 else susy2(v, *chosen))
+    assert read(tmp_path / "t" / "transform.csv") == stream.getvalue().encode()
+
+
+def _same(a, b):
+    """Field by field equality of dataclasses, tuples, arrays and numbers."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def test_preset_bloch_seed_is_the_growing_seed():
+    seed = run_scenario("fig2a").seeds[0]
+    assert _same(seed, bloch_seed(lame(1, 0.5), -1.0)[0])
+    assert not _same(seed, bloch_seed(lame(1, 0.5), -1.0)[1])
 
 
 def test_invariance_reports(tmp_path):
